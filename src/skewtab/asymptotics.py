@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .characters import character, syt_count, transposition_character
@@ -116,11 +115,7 @@ def relative_error(log_estimate: float, exact: int) -> float:
     """estimate/exact - 1, computed in log space so huge exacts are safe."""
     if exact <= 0:
         raise ValueError("exact value must be positive")
-    return math.expm1(log_estimate - _log_int(exact))
-
-
-def _log_int(value: int) -> float:
-    return math.log(value)
+    return math.expm1(log_estimate - math.log(exact))
 
 
 def containment_probability_estimate(n: int, alpha: Partition) -> float:
@@ -158,32 +153,26 @@ def biane_estimate(f_lambda: int, n: int, alpha: Partition, c3: float) -> float:
     return lead + float(f_lambda) * c3 * chi / (2 * factorial(k - 2) * math.sqrt(n))
 
 
-@lru_cache(maxsize=None)
-def _partition_list(n: int) -> tuple[Partition, ...]:
-    return tuple(partitions_of(n))
-
-
-def _in_window(x: int, n: int, eps: Fraction) -> bool:
-    # strict bounds (2 - eps) sqrt(n) < x < (2 + eps) sqrt(n), compared
-    # exactly by squaring (x is a positive integer)
-    hi = 2 + eps
-    if x * x >= hi * hi * n:
-        return False
-    lo = 2 - eps
-    return lo <= 0 or lo * lo * n < x * x
-
-
 def bulk_members(n: int, eps) -> list[Partition]:
-    """Partitions of n whose first part and length both lie in the bulk window."""
+    """Partitions of n whose first part and length both lie in the bulk window.
+
+    The window is strict, (2 - eps) sqrt(n) < x < (2 + eps) sqrt(n), and is
+    decided once as an integer range lo <= x <= hi: for a positive integer x,
+    x**2 < c iff x <= isqrt(ceil(c) - 1), and x**2 > c iff
+    x >= isqrt(floor(c)) + 1.  Only partitions inside the hi x hi box are
+    generated.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    hi = math.isqrt(math.ceil((2 + eps) ** 2 * n) - 1)
+    lo = math.isqrt(math.floor((2 - eps) ** 2 * n)) + 1 if eps < 2 else 1
     return [
         lam
-        for lam in _partition_list(n)
-        if _in_window(lam[0], n, eps) and _in_window(len(lam), n, eps)
+        for lam in partitions_of(n, max_part=hi, max_len=hi)
+        if lam[0] >= lo and len(lam) >= lo
     ]
 
 

@@ -13,6 +13,7 @@ Exit codes: 0 ok (all requested agreement flags true), 1 disagreement,
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from fractions import Fraction
@@ -31,8 +32,22 @@ SKEW_METHODS = ("brute", "det", "char")
 CONTAIN_METHODS = containment.METHODS
 
 
+def _fmt_int(x: int) -> str:
+    """Decimal digits of x at any size.
+
+    ``str`` refuses ints beyond the interpreter's digit limit (4300 by
+    default); ``decimal`` converts them exactly without that limit.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        return str(decimal.Decimal(x))
+
+
 def _fmt_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    if x.denominator == 1:
+        return _fmt_int(x.numerator)
+    return f"{_fmt_int(x.numerator)}/{_fmt_int(x.denominator)}"
 
 
 def render_json(record: dict) -> str:
@@ -80,13 +95,13 @@ def _cmd_skew(args) -> int:
             "method": args.method,
         },
         "results": {
-            "count": str(next(iter(values.values()))),
-            "by_method": {name: str(v) for name, v in values.items()},
+            "count": _fmt_int(next(iter(values.values()))),
+            "by_method": {name: _fmt_int(v) for name, v in values.items()},
         },
         "agree": agree,
     }
     lines = [f"f[{args.outer or '()'} / {args.inner or '()'}]"]
-    lines += [f"  {name:5s} = {v}" for name, v in values.items()]
+    lines += [f"  {name:5s} = {_fmt_int(v)}" for name, v in values.items()]
     if args.method == "all":
         lines.append(f"  agree = {agree}")
     _emit(record, args.json, lines)
@@ -106,14 +121,14 @@ def _cmd_contain(args) -> int:
         "command": "contain",
         "inputs": {"n": n, "alpha": format_partition(alpha), "method": args.method},
         "results": {
-            "N": str(next(iter(values.values()))),
+            "N": _fmt_int(next(iter(values.values()))),
             "P": _fmt_fraction(prob),
-            "by_method": {name: str(v) for name, v in values.items()},
+            "by_method": {name: _fmt_int(v) for name, v in values.items()},
         },
         "agree": agree,
     }
     lines = [f"N({n}; {args.alpha or '()'})"]
-    lines += [f"  {name:9s} = {v}" for name, v in values.items()]
+    lines += [f"  {name:9s} = {_fmt_int(v)}" for name, v in values.items()]
     lines.append(f"  P         = {_fmt_fraction(prob)}")
     if args.method == "all":
         lines.append(f"  agree     = {agree}")
@@ -134,13 +149,13 @@ def _cmd_table(args) -> int:
                 row = {
                     "alpha": format_partition(alpha),
                     "n": n,
-                    "expansion": str(value),
+                    "expansion": _fmt_int(value),
                     "closed_form": None,
                     "match": None,
                 }
                 if has_form:
                     golden = containment.N_closed_form(n, alpha)
-                    row["closed_form"] = str(golden)
+                    row["closed_form"] = _fmt_int(golden)
                     row["match"] = golden == value
                     all_match = all_match and row["match"]
                 rows.append(row)
@@ -169,12 +184,12 @@ def _asym_tn(args) -> tuple[dict, list[str]]:
     rel = asymptotics.relative_error(log_est, exact)
     results = {
         "estimate": asymptotics.mw_involutions_estimate(args.n, args.order),
-        "exact": str(exact),
+        "exact": _fmt_int(exact),
         "rel_err": rel,
     }
     lines = [
         f"t({args.n}) estimate (order {args.order}) = {results['estimate']:.6e}",
-        f"t({args.n}) exact = {exact}",
+        f"t({args.n}) exact = {results['exact']}",
         f"relative error = {rel:.3e}",
     ]
     return results, lines
@@ -187,12 +202,12 @@ def _asym_shift(args) -> tuple[dict, list[str]]:
     rel = asymptotics.relative_error(log_est, exact)
     results = {
         "estimate": asymptotics.mw_shifted_estimate(args.n, j),
-        "exact": str(exact),
+        "exact": _fmt_int(exact),
         "rel_err": rel,
     }
     lines = [
         f"t({args.n}-{j}) estimate = {results['estimate']:.6e}",
-        f"t({args.n - j}) exact = {exact}",
+        f"t({args.n - j}) exact = {results['exact']}",
         f"relative error = {rel:.3e}",
     ]
     return results, lines

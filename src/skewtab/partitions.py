@@ -51,10 +51,20 @@ def format_partition(lam: Partition) -> str:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose the diagram: part i of the result counts parts of lam >= i."""
+    """Transpose the diagram: part i of the result counts parts of lam >= i.
+
+    One scan: as the column index grows the row count only falls, so the
+    cost is O(first part + length).
+    """
     if not lam:
         return ()
-    return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
+    cols = []
+    rows = len(lam)
+    for i in range(1, lam[0] + 1):
+        while lam[rows - 1] < i:
+            rows -= 1
+        cols.append(rows)
+    return tuple(cols)
 
 
 def square_cycle_type(mu: Partition) -> Partition:
@@ -96,15 +106,40 @@ def _descending_parts(n: int, max_part: int, min_part: int) -> Iterator[Partitio
             yield (first,) + tail
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def _boxed_parts(n: int, max_part: int, max_len: int) -> Iterator[Partition]:
+    # Same order as _descending_parts.  The tail has at most max_len - 1 parts,
+    # none above the first, so first >= ceil(n / max_len): the bound sits in
+    # the loop's lower limit, (n - 1) // max_len = ceil(n / max_len) - 1.  A
+    # separate generator keeps the unbounded enumeration free of its cost.
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), (n - 1) // max_len, -1):
+        for tail in _boxed_parts(n - first, first, max_len - 1):
+            yield (first,) + tail
+
+
+def partitions_of(
+    n: int, max_part: int | None = None, max_len: int | None = None
+) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in reverse-lexicographic order.
 
     The order is stable and documented: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
-    ``max_part`` restricts the largest part (useful for pruned sums).
+    ``max_part`` restricts the largest part and ``max_len`` the number of
+    parts (useful for pruned sums); with both, only partitions inside the
+    ``max_len x max_part`` box are generated.  Bounds only drop partitions,
+    so the order of the survivors is unchanged.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from _descending_parts(n, n if max_part is None else max_part, 1)
+    if max_part is None:
+        max_part = n
+    if max_len is None:
+        yield from _descending_parts(n, max_part, 1)
+    elif max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    elif max_len > 0 or n == 0:  # an empty box holds only the empty partition
+        yield from _boxed_parts(n, max_part, max_len)
 
 
 def partitions_no_small_parts(j: int) -> Iterator[Partition]:

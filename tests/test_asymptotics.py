@@ -182,6 +182,40 @@ def test_bulk_mass_in_unit_interval():
             assert 0 <= mass <= 1
 
 
+def in_window_oracle(x, n, eps):
+    """The bulk window's strict bounds (2 - eps) sqrt(n) < x < (2 + eps) sqrt(n),
+    compared exactly by squaring in rationals (x is a positive integer)."""
+    hi = 2 + eps
+    if x * x >= hi * hi * n:
+        return False
+    lo = 2 - eps
+    return lo <= 0 or lo * lo * n < x * x
+
+
+# 1/2 and 1/5 put both bounds on integers at n = 16 and n = 25; 1 does so at
+# every square n; 2 and beyond drop the lower bound
+BULK_EPS_GRID = [
+    Fraction(p, q)
+    for p, q in [(1, 10), (1, 5), (1, 4), (1, 3), (1, 2), (3, 4), (1, 1), (3, 2),
+                 (19, 10), (2, 1), (3, 1)]
+]
+
+
+def test_bulk_members_match_strict_squares_oracle():
+    exact_hits = 0
+    for n in range(1, 31):
+        everything = list(partitions_of(n))
+        for eps in BULK_EPS_GRID:
+            ok = {x for x in range(1, n + 1) if in_window_oracle(x, n, eps)}
+            expected = [lam for lam in everything if lam[0] in ok and len(lam) in ok]
+            assert bulk_members(n, eps) == expected, (n, eps)
+            exact_hits += sum(
+                x * x == (2 + eps) ** 2 * n or (eps < 2 and x * x == (2 - eps) ** 2 * n)
+                for x in range(1, n + 1)
+            )
+    assert exact_hits > 0  # some bounds landed exactly on an integer
+
+
 def test_bulk_window_is_strict():
     # at n = 16, eps = 1/2 the window is (6, 10): parts 6 and 10 excluded
     members = bulk_members(16, Fraction(1, 2))

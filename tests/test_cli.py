@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from skewtab import cli
+from skewtab import cli, sequences
 from skewtab.exact import IntegralityError
 from skewtab.sequences import involutions
 
@@ -142,6 +143,35 @@ def test_big_integers_are_strings(capsys):
     assert code == 0
     assert isinstance(record["results"]["N"], str)
     assert record["results"]["N"] == str(involutions(40))
+
+
+def test_tn_beyond_the_int_str_digit_limit(capsys):
+    # t(20000) has about 38,700 digits, far past str()'s 4300-digit default
+    cached = len(sequences._t)
+    try:
+        code, record, _ = run_json(capsys, ["asym", "tn", "--n", "20000"])
+        assert code == 0
+        t = involutions(20000)
+        digits = record["results"]["exact"]
+        d = len(digits)
+        assert 10 ** (d - 1) <= t < 10**d
+        assert digits[-50:] == str(t % 10**50)
+        code, out, _ = run(capsys, ["asym", "tn", "--n", "20000"])
+        assert code == 0
+        assert f"t(20000) exact = {digits}" in out
+    finally:
+        del sequences._t[cached:]  # release the ~170 MB of memoized values
+
+
+def test_fmt_fraction_beyond_the_int_str_digit_limit():
+    big = 10**5000
+    text = cli._fmt_fraction(Fraction(big + 1, 3))
+    numerator, denominator = text.split("/")
+    assert denominator == "3"
+    assert len(numerator) == 5001
+    assert numerator[0] == "1" and numerator[-4:] == "0001"
+    assert cli._fmt_int(-big) == "-1" + "0" * 5000
+    assert cli._fmt_int(12345) == "12345"
 
 
 def test_integrality_violation_exit_4(capsys, monkeypatch):

@@ -128,6 +128,12 @@ def test_conjugate_examples():
     assert conjugate((6, 6, 5, 4, 2, 1)) == (6, 5, 4, 4, 3, 2)
 
 
+def test_conjugate_matches_oracle_exhaustively():
+    for n in range(15):
+        for lam in partitions_of(n):
+            assert conjugate(lam) == conjugate_oracle(lam), lam
+
+
 @given(partitions_strategy)
 def test_conjugate_is_involution(lam):
     assert conjugate(conjugate(lam)) == lam
@@ -197,6 +203,27 @@ def test_partitions_of_25_has_1958_entries():
 
 def test_partitions_of_max_part():
     assert list(partitions_of(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_partitions_of_box_bounds_filter_in_order():
+    for n in range(21):
+        everything = list(partitions_of(n))
+        for max_len in range(n + 2):
+            expected = [lam for lam in everything if len(lam) <= max_len]
+            assert list(partitions_of(n, max_len=max_len)) == expected, (n, max_len)
+            for max_part in {0, 1, 2, max_len - 1, max_len, max_len + 1, n // 2, n}:
+                boxed = [lam for lam in expected if not lam or lam[0] <= max_part]
+                got = list(partitions_of(n, max_part=max_part, max_len=max_len))
+                assert got == boxed, (n, max_part, max_len)
+
+
+def test_partitions_of_max_len_examples():
+    assert list(partitions_of(4, max_len=2)) == [(4,), (3, 1), (2, 2)]
+    assert list(partitions_of(0, max_len=0)) == [()]
+    assert list(partitions_of(3, max_len=0)) == []
+    assert list(partitions_of(6, max_part=2, max_len=2)) == []
+    with pytest.raises(ValueError):
+        list(partitions_of(3, max_len=-1))
 
 
 def test_partitions_no_small_parts():
