@@ -1,20 +1,28 @@
 """Irreducible symmetric-group characters and straight-shape SYT counts.
 
-``character`` runs the border-strip (Murnaghan-Nakayama) recursion on
-first-column hook lengths: removing a strip of size r from the beta set
-{lam_i + ell - i} means moving one beta value down by r into a free slot,
-with sign (-1)**(number of occupied slots jumped over).
+``character`` applies the border-strip (Murnaghan-Nakayama) rule layer by
+layer, with no recursion.  A layer maps shapes to signed coefficients and
+starts at {lam: 1}.  For each part r >= 2 of the class, every border strip
+of size r is removed from every shape in the layer: on first-column hook
+lengths (the beta set {lam_i + ell - i}) that means moving one beta value
+down by r into a free slot, with sign (-1)**(number of occupied slots jumped
+over).  Shapes reached twice merge and zero coefficients drop out.  The 1s
+of the class are left for last: chi^shape(1^m) = f^shape, so the character
+is the sum of coefficient times the hook-length count ``syt_count``.  Python
+recursion depth does not depend on the weight or the class.
 
 ``character_oracle`` recomputes small values by a completely different
 route - coefficient extraction from the alternant times a power sum - and
-exists only to cross-check the recursion at desk scale.
+exists only to cross-check the layered rule at desk scale.
 
-Cache contract: one process-wide dict keyed by (shape, class).  Lookups and
-inserts are plain dict operations, GIL-serialized in CPython, so concurrent
-readers are safe; at worst two threads compute the same (deterministic)
-value.  Eviction is all-or-nothing: ``clear_character_cache()`` empties the
-table, and an optional entry cap (``set_character_cache_limit``) triggers
-the same clear-all when an insert would exceed it.
+Cache contract: one process-wide dict keyed by the top-level (shape, class)
+of each ``character`` call; the shapes of intermediate layers are not
+memoized.  Lookups and inserts are plain dict operations, GIL-serialized in
+CPython, so concurrent readers are safe; at worst two threads compute the
+same (deterministic) value.  Eviction is all-or-nothing:
+``clear_character_cache()`` empties the table, and an optional entry cap
+(``set_character_cache_limit``) triggers the same clear-all when an insert
+would exceed it.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, prod
 
-from .partitions import Partition, conjugate
+from .partitions import Partition, conjugate, validate_partition
 
 _cache: dict[tuple[Partition, Partition], int] = {}
 _cache_limit: int | None = None
@@ -54,29 +62,33 @@ def _from_beta(beta: list[int]) -> Partition:
     return tuple(p for i, b in enumerate(beta) if (p := b - (m - 1 - i)) > 0)
 
 
+def _strip_layer(layer: dict[Partition, int], r: int) -> dict[Partition, int]:
+    """Remove every border strip of size r from every shape in layer."""
+    out: dict[Partition, int] = {}
+    for lam, coeff in layer.items():
+        ell = len(lam)
+        beta = [lam[i] + ell - 1 - i for i in range(ell)]
+        occupied = set(beta)
+        for i, b in enumerate(beta):
+            nb = b - r
+            if nb < 0 or nb in occupied:
+                continue
+            height = sum(1 for x in range(nb + 1, b) if x in occupied)
+            shape = _from_beta(sorted(beta[:i] + beta[i + 1 :] + [nb], reverse=True))
+            out[shape] = out.get(shape, 0) + (-coeff if height % 2 else coeff)
+    return {shape: c for shape, c in out.items() if c}
+
+
 def _character(lam: Partition, mu: Partition) -> int:
     key = (lam, mu)
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    if not mu:
-        value = 1
-    else:
-        r, rest = mu[0], mu[1:]
-        ell = len(lam)
-        beta = [lam[i] + ell - 1 - i for i in range(ell)]
-        occupied = set(beta)
-        value = 0
-        for b in beta:
-            nb = b - r
-            if nb < 0 or nb in occupied:
-                continue
-            height = sum(1 for x in beta if nb < x < b)
-            new_beta = sorted((x for x in beta if x != b), reverse=True)
-            new_beta.append(nb)
-            new_beta.sort(reverse=True)
-            sub = _character(_from_beta(new_beta), rest)
-            value += -sub if height % 2 else sub
+    layer = {lam: 1}
+    for r in mu:
+        if r != 1:
+            layer = _strip_layer(layer, r)
+    value = sum(c * syt_count(shape) for shape, c in layer.items())
     if _cache_limit is not None and len(_cache) >= _cache_limit:
         _cache.clear()
     _cache[key] = value
@@ -84,10 +96,14 @@ def _character(lam: Partition, mu: Partition) -> int:
 
 
 def character(lam: Partition, mu: Partition) -> int:
-    """Character of the irreducible indexed by lam on the class of type mu."""
+    """Character of the irreducible indexed by lam on the class of type mu.
+
+    Both must be partitions of the same weight; ValueError otherwise.
+    """
+    lam, mu = validate_partition(lam), validate_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"invalid character key: |{lam}| != |{mu}|")
-    return _character(tuple(lam), tuple(mu))
+    return _character(lam, mu)
 
 
 def clear_character_cache() -> None:

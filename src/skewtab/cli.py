@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -294,7 +295,9 @@ def _cmd_asym(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="skewtab",
         description="Exact SYT counting with cross-validated formulas",

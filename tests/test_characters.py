@@ -15,12 +15,14 @@ from skewtab.characters import (
     transposition_character,
 )
 from skewtab.partitions import (
+    SkewShape,
     centralizer_order,
     conjugate,
     partitions_no_small_parts,
     partitions_of,
     square_cycle_type,
 )
+from skewtab.skew_count import skew_syt_brute, skew_syt_char, skew_syt_det
 
 
 # ---------------------------------------------------------------- oracles
@@ -87,11 +89,26 @@ def test_character_weight_mismatch():
         character((2, 1), (2,))
 
 
+@pytest.mark.parametrize(
+    "lam, mu", [((1, 2), (2, 1)), ((1, 2), (1, 1, 1)), ((2,), (2, 0)), ((2,), (3, -1))]
+)
+def test_character_rejects_non_partitions(lam, mu):
+    with pytest.raises(ValueError):
+        character(lam, mu)
+
+
 def test_character_on_identity_class_is_dimension():
-    for n in range(10):
+    # brute_syt_count, not syt_count: the identity class is the hook-length
+    # finish of the layered rule itself
+    for n in range(8):
         identity = (1,) * n
         for lam in partitions_of(n):
-            assert character(lam, identity) == syt_count(lam)
+            assert character(lam, identity) == brute_syt_count(lam)
+    # past desk scale for the filter, count growth paths from the empty shape
+    for n in range(8, 10):
+        identity = (1,) * n
+        for lam in partitions_of(n):
+            assert character(lam, identity) == skew_syt_brute(SkewShape(lam, ()))
 
 
 def test_character_sign_shape():
@@ -103,7 +120,7 @@ def test_character_sign_shape():
 
 
 def test_character_matches_oracle_small():
-    for n in range(6):
+    for n in range(8):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 assert character(lam, mu) == character_oracle(lam, mu)
@@ -162,6 +179,21 @@ def test_transposition_character_matches_recursion():
             value = transposition_character(alpha)
             assert value.denominator == 1
             assert value == character(alpha, (2,) + (1,) * (k - 2))
+
+
+def test_character_depth_does_not_track_weight():
+    # one layer per 2-cycle; a recursion per part overflows the Python stack
+    assert character((1,) * 3000, (2,) * 1500) == 1
+    assert character((3000,), (2,) * 1500) == 1
+
+
+def test_character_cache_holds_top_level_keys_only():
+    clear_character_cache()
+    shape = SkewShape(tuple(range(10, 0, -1)), (3, 2, 1))
+    assert skew_syt_char(shape) == skew_syt_det(shape)
+    # one entry per (outer, class) and (inner, class) key the route asks for
+    assert len(characters._cache) < 1000
+    clear_character_cache()
 
 
 def test_character_cache_clear_and_limit():

@@ -188,3 +188,49 @@ def test_argparse_rejects_unknown_method(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["contain", "--n", "4", "--alpha", "2,1", "--method", "guess"])
     assert exc.value.code == 2
+
+
+def test_skew_char_on_1500_cells(capsys):
+    code, record, _ = run_json(capsys, ["skew", "--outer", "1500", "--method", "char"])
+    assert code == 0
+    assert record["results"]["count"] == "1"
+
+
+def run_or_exit(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_prints_what_fresh_parsers_print(capsys):
+    sequence = [
+        ["skew", "--outer", "2,2,1", "--method", "guess"],
+        ["skew", "--outer", "2,2,1", "--inner", "1"],
+        ["contain", "--n", "4", "--alpha", "2,1", "--json"],
+        ["skew", "--outer", "3,2,1", "--json"],
+        ["asym", "mass", "--n", "12", "--json"],
+    ]
+    cli._build_parser.cache_clear()
+    reused = [run_or_exit(capsys, argv) for argv in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(run_or_exit(capsys, argv))
+    assert reused == fresh
+    assert reused[0][0] == 2 and "invalid choice" in reused[0][2]
+    assert [code for code, _, _ in reused[1:]] == [0, 0, 0, 0]
+
+
+def test_parser_defaults_do_not_leak_between_calls(capsys):
+    _, record, _ = run_json(
+        capsys, ["skew", "--outer", "3,2,1", "--inner", "1", "--method", "det"]
+    )
+    assert record["inputs"]["inner"] == "1"
+    _, record, _ = run_json(capsys, ["skew", "--outer", "3,2,1"])
+    assert record["inputs"]["inner"] == ""
+    assert record["inputs"]["method"] == "all"
+    assert record["results"]["count"] == "16"

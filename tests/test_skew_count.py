@@ -3,6 +3,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewtab.characters import syt_count
 from skewtab.exact import IntegralityError
@@ -55,6 +56,20 @@ def small_skew_pairs(max_outer, max_inner):
                         yield SkewShape(lam, alpha)
 
 
+@st.composite
+def skew_shapes(draw, max_cells=12):
+    """An outer shape of at most max_cells cells and any inner shape inside it."""
+    n = draw(st.integers(min_value=0, max_value=max_cells))
+    outer = draw(st.sampled_from(list(partitions_of(n))))
+    inners = [
+        alpha
+        for k in range(n + 1)
+        for alpha in partitions_of(k)
+        if contains(outer, alpha)
+    ]
+    return SkewShape(outer, draw(st.sampled_from(inners)))
+
+
 # ------------------------------------------------------------------ tests
 
 def test_brute_examples():
@@ -97,7 +112,7 @@ def test_char_examples():
 def test_char_with_empty_inner_is_straight_count():
     for n in range(9):
         for lam in partitions_of(n):
-            assert skew_syt_char(SkewShape(lam, ())) == syt_count(lam)
+            assert skew_syt_char(SkewShape(lam, ())) == skew_syt_det(SkewShape(lam, ()))
 
 
 def test_triple_agreement_small():
@@ -105,6 +120,14 @@ def test_triple_agreement_small():
         brute = skew_syt_brute(shape)
         assert brute == skew_syt_det(shape)
         assert brute == skew_syt_char(shape)
+
+
+@settings(deadline=None)
+@given(skew_shapes())
+def test_three_routes_agree_on_random_shapes(shape):
+    brute = skew_syt_brute(shape)
+    assert skew_syt_det(shape) == brute
+    assert skew_syt_char(shape) == brute
 
 
 def test_conjugation_symmetry():
