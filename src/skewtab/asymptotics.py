@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 from .characters import character, syt_count, transposition_character
 from .exact import fraction_det
@@ -153,14 +153,13 @@ def biane_estimate(f_lambda: int, n: int, alpha: Partition, c3: float) -> float:
     return lead + float(f_lambda) * c3 * chi / (2 * factorial(k - 2) * math.sqrt(n))
 
 
-def bulk_members(n: int, eps) -> list[Partition]:
-    """Partitions of n whose first part and length both lie in the bulk window.
+def _bulk_window(n: int, eps) -> tuple[int, int]:
+    """The strict bulk window (2 - eps) sqrt(n) < x < (2 + eps) sqrt(n) as an
+    integer range lo <= x <= hi.
 
-    The window is strict, (2 - eps) sqrt(n) < x < (2 + eps) sqrt(n), and is
-    decided once as an integer range lo <= x <= hi: for a positive integer x,
-    x**2 < c iff x <= isqrt(ceil(c) - 1), and x**2 > c iff
-    x >= isqrt(floor(c)) + 1.  Only partitions inside the hi x hi box are
-    generated.
+    For a positive integer x, x**2 < c iff x <= isqrt(ceil(c) - 1), and
+    x**2 > c iff x >= isqrt(floor(c)) + 1; from eps = 2 on there is no lower
+    bound.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -169,6 +168,16 @@ def bulk_members(n: int, eps) -> list[Partition]:
         raise ValueError("eps must be positive")
     hi = math.isqrt(math.ceil((2 + eps) ** 2 * n) - 1)
     lo = math.isqrt(math.floor((2 - eps) ** 2 * n)) + 1 if eps < 2 else 1
+    return lo, hi
+
+
+def bulk_members(n: int, eps) -> list[Partition]:
+    """Partitions of n whose first part and length both lie in the bulk window.
+
+    The window is decided once as an integer range (``_bulk_window``), and
+    only partitions inside the hi x hi box are generated.
+    """
+    lo, hi = _bulk_window(n, eps)
     return [
         lam
         for lam in partitions_of(n, max_part=hi, max_len=hi)
@@ -176,9 +185,59 @@ def bulk_members(n: int, eps) -> list[Partition]:
     ]
 
 
+def _window_rows_sum(n: int, ell: int, lo: int, hi: int) -> int:
+    """Sum of f^lam over partitions lam of n with exactly ell >= 2 rows and
+    first part in [lo, hi].
+
+    With beta set b_i = lam_i + ell - 1 - i and N = n + ell(ell - 1)/2,
+    f^lam = (n!/N!) * multinomial(N; b) * prod_{i<j} (b_i - b_j).  Rows are
+    placed top-down from an explicit stack: each placed row multiplies in one
+    binomial (its beta value out of the beta sum still unplaced) and its
+    differences to the rows above.  The leaf products are summed and N!/n!
+    is divided out once, exactly.
+    """
+    big_n = n + ell * (ell - 1) // 2
+    total = 0
+    # a frame: beta values placed so far, cells still to place, weight so far
+    stack = [
+        ((p + ell - 1,), n - p, comb(big_n, p + ell - 1))
+        for p in range(max(lo, -(-n // ell)), min(hi, n - ell + 1) + 1)
+    ]
+    while stack:
+        betas, left, weight = stack.pop()
+        rows = ell - len(betas)
+        if rows == 1:  # the last row takes what is left; its beta is left
+            total += weight * prod(c - left for c in betas)
+            continue
+        shift = rows - 1
+        beta_left = left + rows * shift // 2
+        prev = betas[-1] - rows  # the part of the row above
+        for p in range(-(-left // rows), min(prev, left - shift) + 1):
+            b = p + shift
+            stack.append(
+                (
+                    betas + (b,),
+                    left - p,
+                    weight * comb(beta_left, b) * prod(c - b for c in betas),
+                )
+            )
+    count, rem = divmod(total, prod(range(n + 1, big_n + 1)))
+    assert rem == 0, "N!/n! must divide the summed beta-set products"
+    return count
+
+
 def bulk_mass(n: int, eps) -> Fraction:
-    """Exact fraction of all n-cell SYT whose shape lies in the bulk window."""
-    total = sum(syt_count(lam) for lam in bulk_members(n, eps))
+    """Exact fraction of all n-cell SYT whose shape lies in the bulk window.
+
+    One beta-set walk per length ell in the window over the window's own
+    members (``_window_rows_sum``), with one asserted division per length;
+    the one-row shape (n) is counted directly.  Nothing is sized by the
+    window's upper bound, which can be huge for large eps.
+    """
+    lo, hi = _bulk_window(n, eps)
+    total = 1 if lo <= 1 and n <= hi else 0
+    for ell in range(max(lo, 2), min(hi, n) + 1):
+        total += _window_rows_sum(n, ell, lo, hi)
     return Fraction(total, involutions(n))
 
 

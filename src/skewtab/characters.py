@@ -8,8 +8,11 @@ lengths (the beta set {lam_i + ell - i}) that means moving one beta value
 down by r into a free slot, with sign (-1)**(number of occupied slots jumped
 over).  Shapes reached twice merge and zero coefficients drop out.  The 1s
 of the class are left for last: chi^shape(1^m) = f^shape, so the character
-is the sum of coefficient times the hook-length count ``syt_count``.  Python
-recursion depth does not depend on the weight or the class.
+is the sum of coefficient times the hook-length count ``syt_count``.  A
+shape longer than it is wide starts from its conjugate with the sign of the
+class, chi^lam(mu) = sgn(mu) chi^lam'(mu), so the beta sets stay as short as
+the shorter of the two.  Python recursion depth does not depend on the
+weight or the class.
 
 ``character_oracle`` recomputes small values by a completely different
 route - coefficient extraction from the alternant times a power sum - and
@@ -84,7 +87,11 @@ def _character(lam: Partition, mu: Partition) -> int:
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    layer = {lam: 1}
+    if lam and len(lam) > lam[0]:
+        # chi^lam(mu) = sgn(mu) chi^lam'(mu): strip the shorter conjugate
+        layer = {conjugate(lam): (-1) ** (sum(mu) - len(mu))}
+    else:
+        layer = {lam: 1}
     for r in mu:
         if r != 1:
             layer = _strip_layer(layer, r)

@@ -222,6 +222,97 @@ def test_bulk_window_is_strict():
     assert all(6 < lam[0] < 10 and 6 < len(lam) < 10 for lam in members)
 
 
+@pytest.mark.parametrize("n, eps", [(0, 1), (-3, 1), (5, 0), (5, Fraction(-1, 2))])
+def test_bulk_window_validation(n, eps):
+    with pytest.raises(ValueError):
+        bulk_mass(n, eps)
+    with pytest.raises(ValueError):
+        bulk_members(n, eps)
+
+
+def test_bulk_mass_matches_hook_lengths_over_members():
+    # the hook-length count over the enumerated members is the oracle
+    for n in range(1, 31):
+        for eps in BULK_EPS_GRID:
+            expected = sum(syt_count(lam) for lam in bulk_members(n, eps))
+            assert bulk_mass(n, eps) == Fraction(expected, involutions(n)), (n, eps)
+
+
+def box_paths(n, rows, cols):
+    """Growth paths of n steps from () in Young's lattice inside the
+    rows x cols box, counted level by level."""
+    level = {(): 1}
+    for _ in range(n):
+        grown = {}
+        for lam, ways in level.items():
+            for i in range(min(len(lam) + 1, rows)):
+                part = lam[i] if i < len(lam) else 0
+                if part < cols and (i == 0 or lam[i - 1] > part):
+                    mu = lam[:i] + (part + 1,) + lam[i + 1 :]
+                    grown[mu] = grown.get(mu, 0) + ways
+        level = grown
+    return sum(level.values())
+
+
+def test_bulk_mass_matches_box_growth_paths():
+    # a path ends in the window iff it stays in the hi x hi box and its end
+    # is neither too narrow nor too short: by inclusion-exclusion and
+    # conjugation the count is P(hi,hi) - 2 P(lo-1,hi) + P(lo-1,lo-1)
+    for n in range(1, 17):
+        for eps in BULK_EPS_GRID:
+            ok = [x for x in range(1, n + 1) if in_window_oracle(x, n, eps)]
+            count = 0
+            if ok:
+                lo, hi = ok[0], ok[-1]
+                count = (
+                    box_paths(n, hi, hi)
+                    - 2 * box_paths(n, lo - 1, hi)
+                    + box_paths(n, lo - 1, lo - 1)
+                )
+            assert bulk_mass(n, eps) == Fraction(count, involutions(n)), (n, eps)
+
+
+def test_bulk_mass_is_one_when_window_holds_every_shape():
+    for n in range(1, 21):
+        assert bulk_mass(n, 3) == 1
+    # nothing is sized by the window's upper bound
+    assert bulk_mass(5, Fraction(10**400)) == 1
+
+
+# computed by the hook-length route over the enumerated members
+BULK_MASS_FROZEN = {
+    (16, Fraction(1, 4)): Fraction(21021, 23103368),
+    (16, Fraction(1, 2)): Fraction(693539, 23103368),
+    (16, Fraction(1)): Fraction(16161355, 23103368),
+    (25, Fraction(1, 4)): Fraction(80872739035, 2517906414752),
+    (25, Fraction(1, 2)): Fraction(233778959205, 1258953207376),
+    (25, Fraction(1)): Fraction(21004659161281, 23920110940144),
+    (36, Fraction(1, 4)): Fraction(2558986603103318289, 78651747080223781664),
+    (36, Fraction(1, 2)): Fraction(49600376736100953379, 314606988320895126656),
+    (36, Fraction(1)): Fraction(150623162274740483893, 157303494160447563328),
+    (49, Fraction(1, 4)): Fraction(
+        746576052540008241745804313193, 23082073743729423024934656384640
+    ),
+    (49, Fraction(1, 2)): Fraction(
+        707099918116039185241611304942241, 1846565899498353841994772510771200
+    ),
+    (49, Fraction(1)): Fraction(
+        911543130299573341048685172795647, 923282949749176920997386255385600
+    ),
+}
+
+
+@pytest.mark.parametrize("n, eps", sorted(BULK_MASS_FROZEN))
+def test_bulk_mass_frozen_values(n, eps):
+    assert bulk_mass(n, eps) == BULK_MASS_FROZEN[n, eps]
+
+
+def test_bulk_mass_leaves_no_hook_length_cache():
+    syt_count.cache_clear()
+    bulk_mass(30, 1)
+    assert syt_count.cache_info().currsize == 0
+
+
 # ------------------------------------------------------- symmetric values
 
 def test_power_sum_examples():
