@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .characters import character, syt_count, transposition_character
-from .exact import fraction_det
+from .exact import integer_det
 from .partitions import (
     Partition,
     centralizer_order,
@@ -253,6 +253,8 @@ def schur_value(mu: Partition, values) -> Fraction:
 
     Uses the determinant of complete homogeneous sums h_{mu_i - i + j},
     which is robust for repeated variable values (the bialternant is not).
+    Each row is scaled by the lcm of its denominators, the integer matrix goes
+    to ``integer_det``, and the product of the scales divides it back out.
     """
     values = tuple(Fraction(v) for v in values)
     if not mu:
@@ -266,13 +268,16 @@ def schur_value(mu: Partition, values) -> Fraction:
         for r in range(1, max_degree + 1):
             h[r] += v * h[r - 1]
     matrix = []
+    scales = 1
     for i in range(ell):
         row = []
         for j in range(ell):
             d = mu[i] - i + j
             row.append(h[d] if 0 <= d <= max_degree else Fraction(0))
-        matrix.append(row)
-    return fraction_det(matrix)
+        scale = lcm(*(x.denominator for x in row))
+        matrix.append([x.numerator * (scale // x.denominator) for x in row])
+        scales *= scale
+    return Fraction(integer_det(matrix), scales)
 
 
 def super_schur_value(alpha: Partition, a, b) -> Fraction:

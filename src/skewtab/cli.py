@@ -112,17 +112,20 @@ def _cmd_skew(args) -> int:
 def _cmd_contain(args) -> int:
     alpha = parse_partition(args.alpha)
     n = args.n
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     wanted = CONTAIN_METHODS if args.method == "all" else (args.method,)
     values = {
         name: containment.count_containing(n, alpha, name).value for name in wanted
     }
     agree = len(set(values.values())) == 1
-    prob = containment.containment_probability(n, alpha)
+    count = next(iter(values.values()))
+    prob = Fraction(count, sequences.involutions(n))
     record = {
         "command": "contain",
         "inputs": {"n": n, "alpha": format_partition(alpha), "method": args.method},
         "results": {
-            "N": _fmt_int(next(iter(values.values()))),
+            "N": _fmt_int(count),
             "P": _fmt_fraction(prob),
             "by_method": {name: _fmt_int(v) for name, v in values.items()},
         },

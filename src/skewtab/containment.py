@@ -8,6 +8,10 @@ Three independent routes are implemented and cross-checked:
 * ``N_binomial``  -- a binomial convolution of involution numbers against
   skew counts inside alpha.
 
+``N_direct`` and ``N_binomial`` take each determinant in the orientation
+with fewer rows (``f^(lam/alpha) = f^(lam'/alpha')``), through one helper in
+``skew_count``.
+
 ``CLOSED_FORMS`` freezes the classical closed forms for every shape with at
 most 5 cells; they serve as golden values for the expansion route.
 """
@@ -31,7 +35,7 @@ from .partitions import (
     square_cycle_type,
 )
 from .sequences import a_poly, b_stable, involutions, q_coeff
-from .skew_count import skew_syt_det, sum_skew_over_inner
+from .skew_count import _det_fewer_rows, sum_skew_over_inner
 
 METHODS = ("direct", "expansion", "binomial")
 
@@ -96,7 +100,7 @@ def N_direct(n: int, alpha: Partition) -> int:
             break  # reverse-lex: every later lam has a smaller first part
         if len(lam) < len(alpha) or not contains(lam, alpha):
             continue
-        total += skew_syt_det(SkewShape(lam, alpha))
+        total += _det_fewer_rows(SkewShape(lam, alpha))
     return total
 
 

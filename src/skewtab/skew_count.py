@@ -6,7 +6,12 @@
 * ``skew_syt_char``   -- a character sum over classes of the inner weight.
 
 The three agree on every valid input; the test suite asserts this, and
-higher layers pick whichever is cheapest for their regime.
+higher layers pick whichever is cheapest for their regime.  The loops that
+run one determinant per shape (``sum_skew_over_inner`` here and
+``containment.N_direct``) take each count in the orientation with fewer
+rows, since ``f^(lam/alpha) = f^(lam'/alpha')``; ``skew_syt_det`` itself
+never conjugates, so comparing it with its value on the conjugate shape
+still compares two computations.
 """
 
 from __future__ import annotations
@@ -102,12 +107,28 @@ def skew_syt_char(shape: SkewShape) -> int:
     return count
 
 
+def _det_fewer_rows(shape: SkewShape) -> int:
+    """skew_syt_det on shape or on its conjugate, whichever has fewer rows.
+
+    The determinant's dimension is the outer shape's length, and transposing
+    every tableau gives f^(lam/alpha) = f^(lam'/alpha').
+    """
+    outer = shape.outer
+    if outer and len(outer) > outer[0]:
+        shape = shape.conjugate()
+    return skew_syt_det(shape)
+
+
 def sum_skew_over_inner(alpha: Partition, m: int) -> int:
-    """Sum of f^(alpha/mu) over all mu of weight m; mu not inside alpha add 0."""
+    """Sum of f^(alpha/mu) over all mu of weight m; mu not inside alpha add 0.
+
+    Only the partitions inside alpha's bounding box are generated.
+    """
     if not 0 <= m <= sum(alpha):
         raise ValueError("m must lie between 0 and |alpha|")
+    width = alpha[0] if alpha else 0
     return sum(
-        skew_syt_det(SkewShape(alpha, mu))
-        for mu in partitions_of(m)
+        _det_fewer_rows(SkewShape(alpha, mu))
+        for mu in partitions_of(m, max_part=width, max_len=len(alpha))
         if contains(alpha, mu)
     )

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from skewtab import cli, sequences
+from skewtab.containment import containment_probability
 from skewtab.exact import IntegralityError
+from skewtab.partitions import parse_partition
 from skewtab.sequences import involutions
 
 
@@ -67,6 +69,28 @@ def test_contain_text_output(capsys):
     assert code == 0
     assert "N(3; 1)" in out
     assert "agree     = True" in out
+
+
+@pytest.mark.parametrize("method", ["all", "direct", "expansion", "binomial"])
+def test_contain_negative_n_exits_2(capsys, method):
+    code, out, err = run(capsys, ["contain", "--n", "-1", "--alpha", "2,1", "--method", method])
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be nonnegative\n"
+
+
+def test_contain_probability_is_the_same_under_every_method(capsys):
+    for alpha in ["", "1", "2,1", "1,1,1", "3,1"]:
+        for n in range(11):
+            probs = set()
+            for method in ["all", "direct", "expansion", "binomial"]:
+                code, record, _ = run_json(
+                    capsys, ["contain", "--n", str(n), "--alpha", alpha, "--method", method]
+                )
+                assert code == 0
+                probs.add(record["results"]["P"])
+            exact = containment_probability(n, parse_partition(alpha))
+            assert probs == {cli._fmt_fraction(exact)}, (alpha, n, probs)
 
 
 def test_table_matches(capsys):

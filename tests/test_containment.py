@@ -2,7 +2,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from skewtab import skew_count
 from skewtab.characters import character, syt_count
 from skewtab.containment import (
     CLOSED_FORMS,
@@ -19,6 +21,10 @@ from skewtab.containment import (
 )
 from skewtab.partitions import conjugate, partitions_of
 from skewtab.sequences import b_stable, involutions
+from skewtab.skew_count import skew_syt_det
+
+# every shape of at most 6 cells, including tall ones such as (1,)*6
+ALPHAS_UP_TO_6 = [alpha for k in range(7) for alpha in partitions_of(k)]
 
 
 def test_direct_examples():
@@ -169,3 +175,47 @@ def test_count_containing_dispatch():
     assert count_containing(4, (2, 1), "closed-form").value == 3
     with pytest.raises(ValueError):
         count_containing(4, (2, 1), "guess")
+
+
+def test_three_routes_agree_up_to_six_cells():
+    for alpha in ALPHAS_UP_TO_6:
+        k = sum(alpha)
+        for n in range(max(k - 1, 0), 19):
+            direct = N_direct(n, alpha)
+            assert direct == N_expansion(n, alpha), (n, alpha)
+            assert direct == N_binomial(n, alpha), (n, alpha)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(ALPHAS_UP_TO_6), st.integers(min_value=0, max_value=14))
+def test_routes_agree_on_random_alpha(alpha, n):
+    direct = N_direct(n, alpha)
+    assert N_expansion(n, alpha) == direct
+    assert N_binomial(n, alpha) == direct
+    if alpha in CLOSED_FORMS:
+        assert N_closed_form(n, alpha) == direct
+
+
+def test_direct_with_empty_alpha_counts_involutions():
+    assert N_direct(0, ()) == 1
+    for n in range(13):
+        assert N_direct(n, ()) == involutions(n)
+
+
+def test_direct_frozen_values():
+    # golden values computed with every determinant in lam's own orientation
+    assert N_direct(28, (5, 1)) == 133591802704944
+    assert N_direct(26, (1,) * 6) == 1027879382000
+
+
+def test_per_shape_loops_take_the_orientation_with_fewer_rows(monkeypatch):
+    outers = []
+
+    def recording_det(shape):
+        outers.append(shape.outer)
+        return skew_syt_det(shape)
+
+    monkeypatch.setattr(skew_count, "skew_syt_det", recording_det)
+    assert N_direct(12, (2, 1, 1)) == N_expansion(12, (2, 1, 1))
+    assert N_binomial(12, (2, 1, 1, 1)) == N_expansion(12, (2, 1, 1, 1))
+    assert outers and all(len(lam) <= lam[0] for lam in outers)

@@ -56,6 +56,13 @@ def small_skew_pairs(max_outer, max_inner):
                         yield SkewShape(lam, alpha)
 
 
+def filtered_inner_sum(alpha, m):
+    """Sum of f^(alpha/mu) over every partition mu of m that fits inside alpha."""
+    return sum(
+        skew_syt_det(SkewShape(alpha, mu)) for mu in partitions_of(m) if contains(alpha, mu)
+    )
+
+
 @st.composite
 def skew_shapes(draw, max_cells=12):
     """An outer shape of at most max_cells cells and any inner shape inside it."""
@@ -156,3 +163,14 @@ def test_sum_skew_over_inner():
     assert sum_skew_over_inner((2, 1), 2) == 2
     with pytest.raises(ValueError):
         sum_skew_over_inner((2, 1), 4)
+
+
+def test_sum_skew_over_inner_empty_alpha():
+    assert sum_skew_over_inner((), 0) == 1
+
+
+def test_sum_skew_over_inner_against_filtering_every_partition():
+    for k in range(9):
+        for alpha in partitions_of(k):
+            for m in range(k + 1):
+                assert sum_skew_over_inner(alpha, m) == filtered_inner_sum(alpha, m), (alpha, m)
