@@ -22,9 +22,7 @@ from .partitions import (
 )
 from .characters import (
     character,
-    character_oracle,
     clear_character_cache,
-    set_character_cache_limit,
     syt_count,
     transposition_character,
 )
@@ -39,14 +37,12 @@ from .skew_count import (
 )
 from .containment import (
     CLOSED_FORMS,
-    ContainmentResult,
     N_binomial,
     N_closed_form,
     N_direct,
     N_expansion,
     N_row,
     containment_probability,
-    count_containing,
     generating_poly_check,
     stability_check,
     t_shift_coeff,
@@ -64,7 +60,6 @@ from .asymptotics import (
     power_sum,
     rectangle_factorization,
     relative_error,
-    schur_sum_identity_check,
     schur_value,
     super_schur_value,
     tvk_skew_estimate,

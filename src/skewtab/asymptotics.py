@@ -23,7 +23,6 @@ from .partitions import (
     centralizer_order,
     conjugate,
     partitions_of,
-    square_cycle_type,
 )
 from .sequences import involutions
 
@@ -333,24 +332,3 @@ def tvk_skew_estimate(f_lambda: int, alpha: Partition, spec: LimitSpec) -> float
     if spec.frequency_sum() != 1:
         raise ValueError("TVK frequencies must sum to exactly 1")
     return float(f_lambda * super_schur_value(alpha, spec.a, spec.b))
-
-
-def schur_sum_identity_check(n: int, values) -> bool:
-    """Check sum over lam of s_lam = sum over lam of p_(square type)/z_lam.
-
-    Both sides are restricted to partitions of n and evaluated exactly at the
-    given rational vector.  Desk-scale guard: n <= 8 and at most 4 values.
-    """
-    if n > 8 or len(tuple(values)) > 4:
-        raise ValueError("identity check is desk-scale only (n <= 8, <= 4 values)")
-    values = tuple(Fraction(v) for v in values)
-    schur_side = sum((schur_value(lam, values) for lam in partitions_of(n)), Fraction(0))
-    power_side = Fraction(0)
-    for lam in partitions_of(n):
-        product = Fraction(1)
-        for part in square_cycle_type(lam):
-            product *= power_sum(part, values)
-            if product == 0:
-                break
-        power_side += Fraction(1, centralizer_order(lam)) * product
-    return schur_side == power_side

@@ -14,33 +14,21 @@ class, chi^lam(mu) = sgn(mu) chi^lam'(mu), so the beta sets stay as short as
 the shorter of the two.  Python recursion depth does not depend on the
 weight or the class.
 
-``character_oracle`` recomputes small values by a completely different
-route - coefficient extraction from the alternant times a power sum - and
-exists only to cross-check the layered rule at desk scale.
-
-Cache contract: one process-wide dict keyed by the top-level (shape, class)
-of each ``character`` call; the shapes of intermediate layers are not
-memoized.  Lookups and inserts are plain dict operations, GIL-serialized in
-CPython, so concurrent readers are safe; at worst two threads compute the
-same (deterministic) value.  Eviction is all-or-nothing:
-``clear_character_cache()`` empties the table, and an optional entry cap
-(``set_character_cache_limit``) triggers the same clear-all when an insert
-would exceed it.
+Memo policy: ``lru_cache`` with no size cap, as on ``syt_count``.  The
+character table is keyed by the top-level (shape, class) of each
+``character`` call; the shapes of intermediate layers are not memoized.
+``lru_cache`` is thread-safe, and at worst two threads compute the same
+(deterministic) value.  ``clear_character_cache()`` empties the character
+table and ``syt_count``'s, the two tables the char route fills.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import comb, factorial, prod
 
 from .partitions import Partition, conjugate, validate_partition
-
-_cache: dict[tuple[Partition, Partition], int] = {}
-_cache_limit: int | None = None
-
-ORACLE_WEIGHT_CAP = 8
 
 
 @lru_cache(maxsize=None)
@@ -82,11 +70,8 @@ def _strip_layer(layer: dict[Partition, int], r: int) -> dict[Partition, int]:
     return {shape: c for shape, c in out.items() if c}
 
 
+@lru_cache(maxsize=None)
 def _character(lam: Partition, mu: Partition) -> int:
-    key = (lam, mu)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
     if lam and len(lam) > lam[0]:
         # chi^lam(mu) = sgn(mu) chi^lam'(mu): strip the shorter conjugate
         layer = {conjugate(lam): (-1) ** (sum(mu) - len(mu))}
@@ -95,11 +80,7 @@ def _character(lam: Partition, mu: Partition) -> int:
     for r in mu:
         if r != 1:
             layer = _strip_layer(layer, r)
-    value = sum(c * syt_count(shape) for shape, c in layer.items())
-    if _cache_limit is not None and len(_cache) >= _cache_limit:
-        _cache.clear()
-    _cache[key] = value
-    return value
+    return sum(c * syt_count(shape) for shape, c in layer.items())
 
 
 def character(lam: Partition, mu: Partition) -> int:
@@ -114,57 +95,9 @@ def character(lam: Partition, mu: Partition) -> int:
 
 
 def clear_character_cache() -> None:
-    _cache.clear()
-
-
-def set_character_cache_limit(limit: int | None) -> None:
-    """Cap the memo table at ``limit`` entries (clear-all on overflow)."""
-    global _cache_limit
-    _cache_limit = limit
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
-def character_oracle(lam: Partition, mu: Partition) -> int:
-    """Desk-scale recomputation of character(lam, mu) by alternant extraction.
-
-    Expands the power sum p_mu in len(lam) variables as a monomial dict, then
-    reads off the coefficient of x**(lam + delta) in the product with the
-    Vandermonde alternant.  Independent of the border-strip recursion.
-    """
-    if sum(lam) != sum(mu):
-        raise ValueError(f"invalid character key: |{lam}| != |{mu}|")
-    n = sum(lam)
-    if n > ORACLE_WEIGHT_CAP:
-        raise ValueError(f"oracle is desk-scale only (weight <= {ORACLE_WEIGHT_CAP})")
-    if n == 0:
-        return 1
-    nvars = len(lam)
-    delta = tuple(range(nvars - 1, -1, -1))
-    target = tuple(lam[i] + delta[i] for i in range(nvars))
-    poly: dict[tuple[int, ...], int] = {(0,) * nvars: 1}
-    for part in mu:
-        grown: dict[tuple[int, ...], int] = {}
-        for exps, coeff in poly.items():
-            for i in range(nvars):
-                bumped = exps[:i] + (exps[i] + part,) + exps[i + 1 :]
-                grown[bumped] = grown.get(bumped, 0) + coeff
-        poly = grown
-    total = 0
-    for perm in permutations(range(nvars)):
-        needed = tuple(target[i] - delta[perm[i]] for i in range(nvars))
-        if min(needed) < 0:
-            continue
-        total += _perm_sign(perm) * poly.get(needed, 0)
-    return total
+    """Empty the character table and the ``syt_count`` table."""
+    _character.cache_clear()
+    syt_count.cache_clear()
 
 
 def transposition_character(alpha: Partition) -> Fraction:

@@ -6,8 +6,12 @@ supports ``--json``, emitting a single JSON object per invocation in which
 big integers are decimal strings (never floats) and rationals are "p/q"
 strings in lowest terms with the sign on the numerator.
 
+The skew and containment routes, and so the ``--method`` choices, are read
+from ``skew_count.routes()`` and ``containment.routes()``.
+
 Exit codes: 0 ok (all requested agreement flags true), 1 disagreement,
-2 parse error, 3 invalid skew shape, 4 internal integrality violation.
+2 parse error, 3 invalid skew shape, 4 internal integrality violation,
+5 any other internal error.
 """
 
 from __future__ import annotations
@@ -28,9 +32,7 @@ EXIT_DISAGREE = 1
 EXIT_PARSE = 2
 EXIT_INVALID_SHAPE = 3
 EXIT_INTEGRALITY = 4
-
-SKEW_METHODS = ("brute", "det", "char")
-CONTAIN_METHODS = containment.METHODS
+EXIT_INTERNAL = 5
 
 
 def _fmt_int(x: int) -> str:
@@ -78,35 +80,43 @@ def _emit(record: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _cmd_skew(args) -> int:
-    shape = SkewShape(parse_partition(args.outer), parse_partition(args.inner))
-    wanted = SKEW_METHODS if args.method == "all" else (args.method,)
-    compute = {
-        "brute": skew_count.skew_syt_brute,
-        "det": skew_count.skew_syt_det,
-        "char": skew_count.skew_syt_char,
-    }
-    values = {name: compute[name](shape) for name in wanted}
+def _cross_check(args, routes: dict, route_args: tuple, inputs: dict, title: str, summary) -> int:
+    """Run the wanted routes, compare them, and emit the record or text lines.
+
+    ``summary(value)`` turns the first route's value into the record's result
+    fields and the text rows printed after the routes' own rows.  Labels are
+    padded to the longest route name, whichever routes ran.
+    """
+    wanted = tuple(routes) if args.method == "all" else (args.method,)
+    values = {name: routes[name](*route_args) for name in wanted}
     agree = len(set(values.values())) == 1
+    fields, rows = summary(next(iter(values.values())))
+    by_method = {name: _fmt_int(v) for name, v in values.items()}
     record = {
-        "command": "skew",
-        "inputs": {
-            "outer": format_partition(shape.outer),
-            "inner": format_partition(shape.inner),
-            "method": args.method,
-        },
-        "results": {
-            "count": _fmt_int(next(iter(values.values()))),
-            "by_method": {name: _fmt_int(v) for name, v in values.items()},
-        },
+        "command": args.cmd,
+        "inputs": {**inputs, "method": args.method},
+        "results": {**fields, "by_method": by_method},
         "agree": agree,
     }
-    lines = [f"f[{args.outer or '()'} / {args.inner or '()'}]"]
-    lines += [f"  {name:5s} = {_fmt_int(v)}" for name, v in values.items()]
+    width = max(map(len, routes))
+    rows = [*by_method.items(), *rows]
     if args.method == "all":
-        lines.append(f"  agree = {agree}")
+        rows.append(("agree", agree))
+    lines = [title] + [f"  {label:{width}s} = {text}" for label, text in rows]
     _emit(record, args.json, lines)
     return EXIT_OK if agree else EXIT_DISAGREE
+
+
+def _cmd_skew(args) -> int:
+    shape = SkewShape(parse_partition(args.outer), parse_partition(args.inner))
+    return _cross_check(
+        args,
+        skew_count.routes(),
+        (shape,),
+        {"outer": format_partition(shape.outer), "inner": format_partition(shape.inner)},
+        f"f[{args.outer or '()'} / {args.inner or '()'}]",
+        lambda count: ({"count": _fmt_int(count)}, []),
+    )
 
 
 def _cmd_contain(args) -> int:
@@ -114,30 +124,19 @@ def _cmd_contain(args) -> int:
     n = args.n
     if n < 0:
         raise ValueError("n must be nonnegative")
-    wanted = CONTAIN_METHODS if args.method == "all" else (args.method,)
-    values = {
-        name: containment.count_containing(n, alpha, name).value for name in wanted
-    }
-    agree = len(set(values.values())) == 1
-    count = next(iter(values.values()))
-    prob = Fraction(count, sequences.involutions(n))
-    record = {
-        "command": "contain",
-        "inputs": {"n": n, "alpha": format_partition(alpha), "method": args.method},
-        "results": {
-            "N": _fmt_int(count),
-            "P": _fmt_fraction(prob),
-            "by_method": {name: _fmt_int(v) for name, v in values.items()},
-        },
-        "agree": agree,
-    }
-    lines = [f"N({n}; {args.alpha or '()'})"]
-    lines += [f"  {name:9s} = {_fmt_int(v)}" for name, v in values.items()]
-    lines.append(f"  P         = {_fmt_fraction(prob)}")
-    if args.method == "all":
-        lines.append(f"  agree     = {agree}")
-    _emit(record, args.json, lines)
-    return EXIT_OK if agree else EXIT_DISAGREE
+
+    def summary(count: int) -> tuple[dict, list]:
+        prob = _fmt_fraction(Fraction(count, sequences.involutions(n)))
+        return {"N": _fmt_int(count), "P": prob}, [("P", prob)]
+
+    return _cross_check(
+        args,
+        containment.routes(),
+        (n, alpha),
+        {"n": n, "alpha": format_partition(alpha)},
+        f"N({n}; {args.alpha or '()'})",
+        summary,
+    )
 
 
 def _cmd_table(args) -> int:
@@ -310,14 +309,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_skew = sub.add_parser("skew", help="count SYT of a skew shape")
     p_skew.add_argument("--outer", required=True, help="outer partition, e.g. 2,2,1")
     p_skew.add_argument("--inner", default="", help="inner partition (default empty)")
-    p_skew.add_argument("--method", choices=SKEW_METHODS + ("all",), default="all")
+    p_skew.add_argument("--method", choices=(*skew_count.routes(), "all"), default="all")
     p_skew.add_argument("--json", action="store_true")
     p_skew.set_defaults(run=_cmd_skew)
 
     p_contain = sub.add_parser("contain", help="count n-cell SYT containing a shape")
     p_contain.add_argument("--n", type=int, required=True)
     p_contain.add_argument("--alpha", required=True, help="contained shape, e.g. 2,1")
-    p_contain.add_argument("--method", choices=CONTAIN_METHODS + ("all",), default="all")
+    p_contain.add_argument("--method", choices=(*containment.routes(), "all"), default="all")
     p_contain.add_argument("--json", action="store_true")
     p_contain.set_defaults(run=_cmd_contain)
 
@@ -357,6 +356,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ Three independent routes are implemented and cross-checked:
 * ``N_binomial``  -- a binomial convolution of involution numbers against
   skew counts inside alpha.
 
-``N_direct`` and ``N_binomial`` take each determinant in the orientation
-with fewer rows (``f^(lam/alpha) = f^(lam'/alpha')``), through one helper in
-``skew_count``.
+``routes()`` is the one list of them, by name, in the order the CLI's
+``--method all`` runs them.  ``N_direct`` and ``N_binomial`` take each
+determinant in the orientation with fewer rows
+(``f^(lam/alpha) = f^(lam'/alpha')``), through one helper in ``skew_count``.
 
 ``CLOSED_FORMS`` freezes the classical closed forms for every shape with at
 most 5 cells; they serve as golden values for the expansion route.
@@ -18,7 +19,7 @@ most 5 cells; they serve as golden values for the expansion route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -36,17 +37,6 @@ from .partitions import (
 )
 from .sequences import a_poly, b_stable, involutions, q_coeff
 from .skew_count import _det_fewer_rows, sum_skew_over_inner
-
-METHODS = ("direct", "expansion", "binomial")
-
-
-@dataclass(frozen=True)
-class ContainmentResult:
-    n: int
-    alpha: Partition
-    value: int
-    method: str
-
 
 # den, {shift j: numerator of e_j * den}; value = sum_j num * t_{n-j} / den.
 CLOSED_FORMS: dict[Partition, tuple[int, dict[int, int]]] = {
@@ -132,6 +122,14 @@ def N_binomial(n_plus_k: int, alpha: Partition) -> int:
     )
 
 
+def routes() -> dict[str, Callable[[int, Partition], int]]:
+    """The N(n; alpha) routes by name, in the order ``--method all`` runs them.
+
+    Built on every call, so a route rebound on this module is what runs.
+    """
+    return {"direct": N_direct, "expansion": N_expansion, "binomial": N_binomial}
+
+
 def N_closed_form(n: int, alpha: Partition) -> int:
     """Golden closed form for |alpha| <= 5; zero for n < |alpha|."""
     if alpha not in CLOSED_FORMS:
@@ -194,18 +192,3 @@ def stability_check(k: int) -> bool:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return all(N_row(n + k, k) == b_stable(n) for n in range(k + 1))
-
-
-def count_containing(n: int, alpha: Partition, method: str = "expansion") -> ContainmentResult:
-    """Dispatch to one of the counting routes; see METHODS."""
-    if method == "direct":
-        value = N_direct(n, alpha)
-    elif method == "expansion":
-        value = N_expansion(n, alpha)
-    elif method == "binomial":
-        value = N_binomial(n, alpha)
-    elif method == "closed-form":
-        value = N_closed_form(n, alpha)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ContainmentResult(n=n, alpha=tuple(alpha), value=value, method=method)

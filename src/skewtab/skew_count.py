@@ -6,16 +6,18 @@
 * ``skew_syt_char``   -- a character sum over classes of the inner weight.
 
 The three agree on every valid input; the test suite asserts this, and
-higher layers pick whichever is cheapest for their regime.  The loops that
-run one determinant per shape (``sum_skew_over_inner`` here and
-``containment.N_direct``) take each count in the orientation with fewer
-rows, since ``f^(lam/alpha) = f^(lam'/alpha')``; ``skew_syt_det`` itself
-never conjugates, so comparing it with its value on the conjugate shape
-still compares two computations.
+higher layers pick whichever is cheapest for their regime.  ``routes()`` is
+the one list of them, by name, in the order the CLI's ``--method all`` runs
+them.  The loops that run one determinant per shape
+(``sum_skew_over_inner`` here and ``containment.N_direct``) take each count
+in the orientation with fewer rows, since ``f^(lam/alpha) = f^(lam'/alpha')``;
+``skew_syt_det`` itself never conjugates, so comparing it with its value on
+the conjugate shape still compares two computations.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from math import factorial
 
@@ -105,6 +107,14 @@ def skew_syt_char(shape: SkewShape) -> int:
     if count < 0:
         raise IntegralityError(f"character count for {lam}/{alpha} is negative")
     return count
+
+
+def routes() -> dict[str, Callable[[SkewShape], int]]:
+    """The skew routes by name, in the order ``--method all`` runs them.
+
+    Built on every call, so a route rebound on this module is what runs.
+    """
+    return {"brute": skew_syt_brute, "det": skew_syt_det, "char": skew_syt_char}
 
 
 def _det_fewer_rows(shape: SkewShape) -> int:

@@ -17,12 +17,10 @@ from skewtab.asymptotics import (
     mw_log_involutions_estimate,
     rectangle_factorization,
     relative_error,
-    schur_sum_identity_check,
     super_schur_value,
 )
 from skewtab.characters import (
     character,
-    character_oracle,
     syt_count,
     transposition_character,
 )
@@ -47,6 +45,8 @@ from skewtab.partitions import (
 )
 from skewtab.sequences import involutions
 from skewtab.skew_count import skew_syt_brute, skew_syt_char, skew_syt_det
+
+from oracles import character_oracle, schur_sum_identity_check
 
 
 @contextmanager

@@ -16,7 +16,6 @@ from skewtab.asymptotics import (
     power_sum,
     rectangle_factorization,
     relative_error,
-    schur_sum_identity_check,
     schur_value,
     super_schur_value,
     tvk_skew_estimate,
@@ -26,6 +25,8 @@ from skewtab.containment import containment_probability
 from skewtab.partitions import SkewShape, partitions_of
 from skewtab.sequences import involutions
 from skewtab.skew_count import skew_syt_det
+
+from oracles import schur_sum_identity_check
 
 
 # ---------------------------------------------------------------- oracles

@@ -8,9 +8,7 @@ import pytest
 from skewtab import characters
 from skewtab.characters import (
     character,
-    character_oracle,
     clear_character_cache,
-    set_character_cache_limit,
     syt_count,
     transposition_character,
 )
@@ -23,6 +21,8 @@ from skewtab.partitions import (
     square_cycle_type,
 )
 from skewtab.skew_count import skew_syt_brute, skew_syt_char, skew_syt_det
+
+from oracles import character_oracle
 
 
 # ---------------------------------------------------------------- oracles
@@ -203,23 +203,18 @@ def test_character_cache_holds_top_level_keys_only():
     shape = SkewShape(tuple(range(10, 0, -1)), (3, 2, 1))
     assert skew_syt_char(shape) == skew_syt_det(shape)
     # one entry per (outer, class) and (inner, class) key the route asks for
-    assert len(characters._cache) < 1000
+    assert characters._character.cache_info().currsize < 1000
     clear_character_cache()
 
 
-def test_character_cache_clear_and_limit():
+def test_character_cache_clear():
     clear_character_cache()
     character((3, 1), (2, 1, 1))
-    assert len(characters._cache) > 0
+    assert characters._character.cache_info().currsize > 0
+    assert syt_count.cache_info().currsize > 0  # the hook-length finish
     clear_character_cache()
-    assert len(characters._cache) == 0
-    set_character_cache_limit(4)
-    try:
-        character((4, 2), (3, 2, 1))
-        assert len(characters._cache) <= 4
-    finally:
-        set_character_cache_limit(None)
-        clear_character_cache()
+    assert characters._character.cache_info().currsize == 0
+    assert syt_count.cache_info().currsize == 0
 
 
 def test_character_concurrent_readers_consistent():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewtab import cli, sequences
+from skewtab import cli, containment, sequences, skew_count
 from skewtab.containment import containment_probability
 from skewtab.exact import IntegralityError
 from skewtab.partitions import parse_partition
@@ -199,13 +199,73 @@ def test_fmt_fraction_beyond_the_int_str_digit_limit():
 
 
 def test_integrality_violation_exit_4(capsys, monkeypatch):
-    def broken(n, alpha, method):
+    def broken(n, alpha):
         raise IntegralityError("forced failure")
 
-    monkeypatch.setattr(cli.containment, "count_containing", broken)
+    monkeypatch.setattr(containment, "N_direct", broken)
     code, out, err = run(capsys, ["contain", "--n", "4", "--alpha", "2,1"])
     assert code == 4
     assert "integrality" in err
+
+
+def test_internal_error_exit_5(capsys, monkeypatch):
+    # exit 1 means only that routes disagreed; a crash has its own code
+    def broken(n, alpha):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(containment, "N_direct", broken)
+    code, out, err = run(capsys, ["contain", "--n", "4", "--alpha", "2,1"])
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == "internal error: RuntimeError: forced failure\n"
+
+
+def test_skew_routes_are_looked_up_at_call_time(capsys, monkeypatch):
+    # a route rebound on its module (as a tracer does) is the one the CLI runs
+    calls = []
+
+    def recorded(shape):
+        calls.append(shape)
+        return 7
+
+    monkeypatch.setattr(skew_count, "skew_syt_char", recorded)
+    code, record, _ = run_json(capsys, ["skew", "--outer", "3,2,1", "--method", "char"])
+    assert code == 0
+    assert record["results"]["count"] == "7"
+    assert [(s.outer, s.inner) for s in calls] == [((3, 2, 1), ())]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["skew", "--outer", "3,2,1", "--inner", "1"],
+            "f[3,2,1 / 1]\n  brute = 16\n  det   = 16\n  char  = 16\n  agree = True\n",
+        ),
+        (["skew", "--outer", "3,2,1", "--inner", "1", "--method", "brute"], "f[3,2,1 / 1]\n  brute = 16\n"),
+        (["skew", "--outer", "3,2,1", "--inner", "1", "--method", "det"], "f[3,2,1 / 1]\n  det   = 16\n"),
+        (["skew", "--outer", "3,2,1", "--inner", "1", "--method", "char"], "f[3,2,1 / 1]\n  char  = 16\n"),
+        (
+            ["contain", "--n", "4", "--alpha", "2,1"],
+            "N(4; 2,1)\n  direct    = 3\n  expansion = 3\n  binomial  = 3\n"
+            "  P         = 3/10\n  agree     = True\n",
+        ),
+        (
+            ["contain", "--n", "4", "--alpha", "2,1", "--method", "direct"],
+            "N(4; 2,1)\n  direct    = 3\n  P         = 3/10\n",
+        ),
+        (
+            ["contain", "--n", "4", "--alpha", "2,1", "--method", "expansion"],
+            "N(4; 2,1)\n  expansion = 3\n  P         = 3/10\n",
+        ),
+        (
+            ["contain", "--n", "4", "--alpha", "2,1", "--method", "binomial"],
+            "N(4; 2,1)\n  binomial  = 3\n  P         = 3/10\n",
+        ),
+    ],
+)
+def test_text_output_is_pinned(capsys, argv, expected):
+    assert run(capsys, argv) == (0, expected, "")
 
 
 def test_argparse_rejects_unknown_method(capsys):

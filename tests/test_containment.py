@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewtab import skew_count
+from skewtab import containment, skew_count
 from skewtab.characters import character, syt_count
 from skewtab.containment import (
     CLOSED_FORMS,
@@ -14,7 +14,6 @@ from skewtab.containment import (
     N_expansion,
     N_row,
     containment_probability,
-    count_containing,
     generating_poly_check,
     stability_check,
     t_shift_coeff,
@@ -167,14 +166,14 @@ def test_stability_check():
         assert stability_check(k)
 
 
-def test_count_containing_dispatch():
-    result = count_containing(4, (2, 1), "direct")
-    assert result.value == 3 and result.method == "direct"
-    assert count_containing(4, (2, 1), "expansion").value == 3
-    assert count_containing(4, (2, 1), "binomial").value == 3
-    assert count_containing(4, (2, 1), "closed-form").value == 3
-    with pytest.raises(ValueError):
-        count_containing(4, (2, 1), "guess")
+def test_routes_table():
+    table = containment.routes()
+    assert list(table) == ["direct", "expansion", "binomial"]
+    assert {name: route(4, (2, 1)) for name, route in table.items()} == {
+        "direct": 3,
+        "expansion": 3,
+        "binomial": 3,
+    }
 
 
 def test_three_routes_agree_up_to_six_cells():
