@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, perm, prod
 
 from .characters import character, syt_count, transposition_character
 from .exact import integer_det
@@ -192,8 +192,12 @@ def _window_rows_sum(n: int, ell: int, lo: int, hi: int) -> int:
     f^lam = (n!/N!) * multinomial(N; b) * prod_{i<j} (b_i - b_j).  Rows are
     placed top-down from an explicit stack: each placed row multiplies in one
     binomial (its beta value out of the beta sum still unplaced) and its
-    differences to the rows above.  The leaf products are summed and N!/n!
-    is divided out once, exactly.
+    differences to the rows above.  A frame with as many cells left as rows
+    left has one completion, every row 1, and closes in one step: its beta
+    values rows, ..., 1 sum to T = rows(rows + 1)/2, their multinomial times
+    their own differences is T!/rows!, and each placed beta c contributes
+    prod_{v=1..rows} (c - v) = perm(c - 1, rows).  The leaf products are
+    summed and N!/n! is divided out once, exactly.
     """
     big_n = n + ell * (ell - 1) // 2
     total = 0
@@ -205,6 +209,10 @@ def _window_rows_sum(n: int, ell: int, lo: int, hi: int) -> int:
     while stack:
         betas, left, weight = stack.pop()
         rows = ell - len(betas)
+        if left == rows:  # a column of 1s; perm(tri, tri - rows) = tri!/rows!
+            tri = rows * (rows + 1) // 2
+            total += weight * perm(tri, tri - rows) * prod(perm(c - 1, rows) for c in betas)
+            continue
         if rows == 1:  # the last row takes what is left; its beta is left
             total += weight * prod(c - left for c in betas)
             continue
@@ -230,8 +238,9 @@ def bulk_mass(n: int, eps) -> Fraction:
 
     One beta-set walk per length ell in the window over the window's own
     members (``_window_rows_sum``), with one asserted division per length;
-    the one-row shape (n) is counted directly.  Nothing is sized by the
-    window's upper bound, which can be huge for large eps.
+    a member whose remaining rows are all 1 is closed in one step, not one
+    frame per row, and the one-row shape (n) is counted directly.  Nothing
+    is sized by the window's upper bound, which can be huge for large eps.
     """
     lo, hi = _bulk_window(n, eps)
     total = 1 if lo <= 1 and n <= hi else 0

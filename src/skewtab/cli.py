@@ -236,12 +236,11 @@ def _asym_prob(args) -> tuple[dict, list[str]]:
 
 def _asym_vk(args) -> tuple[dict, list[str]]:
     alpha = parse_partition(args.alpha)
-    a = _parse_rational_list(args.a)
-    b = _parse_rational_list(args.b)
+    spec = asymptotics.LimitSpec(_parse_rational_list(args.a), _parse_rational_list(args.b))
     m = args.m
     if m < 1:
         raise ValueError("kind=vk needs --m >= 1 (the two-row size)")
-    estimate = asymptotics.super_schur_value(alpha, a, b)
+    estimate = asymptotics.super_schur_value(alpha, spec.a, spec.b)
     lam = (m, m)
     f_lam = skew_count.skew_syt_det(SkewShape(lam, ()))
     f_skew = skew_count.skew_syt_det(SkewShape(lam, alpha))

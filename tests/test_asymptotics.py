@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from skewtab.asymptotics import (
     LimitSpec,
+    _window_rows_sum,
     biane_estimate,
     bulk_mass,
     bulk_members,
@@ -271,6 +273,28 @@ def test_bulk_mass_matches_box_growth_paths():
                     + box_paths(n, lo - 1, lo - 1)
                 )
             assert bulk_mass(n, eps) == Fraction(count, involutions(n)), (n, eps)
+
+
+def hook_length_count(lam):
+    """f^lam as n! over the product of the hook lengths."""
+    cols = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+    hooks = prod(part - j + cols[j] - i - 1 for i, part in enumerate(lam) for j in range(part))
+    return factorial(sum(lam)) // hooks
+
+
+def test_window_rows_sum_matches_hook_lengths():
+    # lo = 1 lets (2, 1^(n-2)) and (1^n) close their column of 1s from the
+    # first row; hi = 1 leaves only (1^n)
+    for n in range(2, 21):
+        by_length = {}
+        for lam in partitions_of(n):
+            by_length.setdefault(len(lam), []).append((lam[0], hook_length_count(lam)))
+        windows = {(1, n), (1, 1), (1, 2), (2, n), (1, n // 2), (3, n // 2),
+                   (n // 3 + 1, n - 1), (n // 2, n + 5), (n, n)}
+        for ell in range(2, n + 1):
+            for lo, hi in windows:
+                expected = sum(f for first, f in by_length[ell] if lo <= first <= hi)
+                assert _window_rows_sum(n, ell, lo, hi) == expected, (n, ell, lo, hi)
 
 
 def test_bulk_mass_is_one_when_window_holds_every_shape():

@@ -4,6 +4,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewtab import characters
 from skewtab.characters import (
@@ -135,6 +136,23 @@ def test_tall_shapes_match_oracle_at_weight_8():
     for lam in tall:
         for mu in partitions_of(8):
             assert character(lam, mu) == character_oracle(lam, mu), (lam, mu)
+
+
+PARTITIONS_UP_TO_8 = {n: list(partitions_of(n)) for n in range(9)}
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.sampled_from(PARTITIONS_UP_TO_8[n]), st.sampled_from(PARTITIONS_UP_TO_8[n])
+        )
+    )
+)
+def test_character_matches_oracle_on_random_pairs(pair):
+    lam, mu = pair
+    clear_character_cache()  # compute each pair afresh, not from an earlier example
+    assert character(lam, mu) == character_oracle(lam, mu)
 
 
 def test_character_oracle_examples():

@@ -140,6 +140,25 @@ def test_asym_vk(capsys):
     assert record["results"]["exact_ratio"] == "297/398"
 
 
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ("-1/2", "", "frequencies must be nonnegative"),
+        ("1/2", "0,1/4", "frequencies must be weakly decreasing"),
+        ("1/4,1/2", "", "frequencies must be weakly decreasing"),
+        ("2", "", "total frequency mass exceeds 1"),
+        ("1/2", "1/2,1/4", "total frequency mass exceeds 1"),
+    ],
+)
+def test_asym_vk_rejects_what_limit_spec_rejects(capsys, a, b, message):
+    code, out, err = run(
+        capsys, ["asym", "vk", "--alpha", "1", f"--a={a}", f"--b={b}", "--m", "3"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_asym_mass(capsys):
     code, record, _ = run_json(capsys, ["asym", "mass", "--n", "16", "--eps", "1/2"])
     assert code == 0
