@@ -6,12 +6,13 @@ Three independent routes are implemented and cross-checked:
 * ``N_expansion`` -- a finite linear combination of shifted involution
   numbers, sum_j e_j(alpha) t_{n-j}, with character coefficients,
 * ``N_binomial``  -- a binomial convolution of involution numbers against
-  skew counts inside alpha.
+  skew counts inside alpha, all read from one walk down Young's lattice.
 
-``routes()`` is the one list of them, by name, in the order the CLI's
-``--method all`` runs them.  ``N_direct`` and ``N_binomial`` take each
+The three share no code: direct runs determinants, expansion characters,
+and binomial the walk.  ``routes()`` is the one list of them, by name, in
+the order the CLI's ``--method all`` runs them.  ``N_direct`` takes each
 determinant in the orientation with fewer rows
-(``f^(lam/alpha) = f^(lam'/alpha')``), through one helper in ``skew_count``.
+(``f^(lam/alpha) = f^(lam'/alpha')``), through a helper in ``skew_count``.
 
 ``CLOSED_FORMS`` freezes the classical closed forms for every shape with at
 most 5 cells; they serve as golden values for the expansion route.
@@ -36,7 +37,7 @@ from .partitions import (
     square_cycle_type,
 )
 from .sequences import a_poly, b_stable, involutions, q_coeff
-from .skew_count import _det_fewer_rows, sum_skew_over_inner
+from .skew_count import _det_fewer_rows, _inner_sums
 
 # den, {shift j: numerator of e_j * den}; value = sum_j num * t_{n-j} / den.
 CLOSED_FORMS: dict[Partition, tuple[int, dict[int, int]]] = {
@@ -111,14 +112,18 @@ def N_expansion(n: int, alpha: Partition) -> int:
 
 
 def N_binomial(n_plus_k: int, alpha: Partition) -> int:
-    """N(n+k; alpha) = sum_j C(n,j) (sum over mu of f^(alpha/mu)) t_{n-j}."""
-    k = sum(alpha)
+    """N(n+k; alpha) = sum_j C(n,j) (sum over mu of f^(alpha/mu)) t_{n-j}.
+
+    The inner sums, one per weight |mu| = k - j, all come from one walk down
+    Young's lattice from alpha.
+    """
+    sums = _inner_sums(alpha)
+    k = len(sums) - 1
     if n_plus_k < k:
         return 0
     n = n_plus_k - k
     return sum(
-        comb(n, j) * sum_skew_over_inner(alpha, k - j) * involutions(n - j)
-        for j in range(k + 1)
+        comb(n, j) * sums[k - j] * involutions(n - j) for j in range(k + 1)
     )
 
 

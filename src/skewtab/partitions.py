@@ -191,4 +191,9 @@ class SkewShape:
         return skew_cells(self.outer, self.inner)
 
     def conjugate(self) -> "SkewShape":
-        return SkewShape(conjugate(self.outer), conjugate(self.inner))
+        # Transposing a valid pair gives a valid pair, so __post_init__'s
+        # checks are skipped.
+        shape = object.__new__(SkewShape)
+        object.__setattr__(shape, "outer", conjugate(self.outer))
+        object.__setattr__(shape, "inner", conjugate(self.inner))
+        return shape

@@ -1,62 +1,86 @@
 """Skew-shape SYT counts by three mutually independent methods.
 
-* ``skew_syt_brute``  -- depth-first placement of 1..n at addable corners
-  (path counting between the inner and outer shape),
+* ``skew_syt_brute``  -- growth paths between the inner and outer shape,
+  counted by one level-by-level walk down Young's lattice,
 * ``skew_syt_det``    -- the classical factorial determinant,
 * ``skew_syt_char``   -- a character sum over classes of the inner weight.
 
 The three agree on every valid input; the test suite asserts this, and
 higher layers pick whichever is cheapest for their regime.  ``routes()`` is
 the one list of them, by name, in the order the CLI's ``--method all`` runs
-them.  The loops that run one determinant per shape
-(``sum_skew_over_inner`` here and ``containment.N_direct``) take each count
-in the orientation with fewer rows, since ``f^(lam/alpha) = f^(lam'/alpha')``;
-``skew_syt_det`` itself never conjugates, so comparing it with its value on
-the conjugate shape still compares two computations.
+them.  ``sum_skew_over_inner`` reads every inner weight's sum from one walk
+down from alpha, so it runs no determinant.  ``containment.N_direct`` runs
+one determinant per shape and takes each in the orientation with fewer
+rows, since ``f^(lam/alpha) = f^(lam'/alpha')``; ``skew_syt_det`` itself
+never conjugates, so comparing it with its value on the conjugate shape
+still compares two computations.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import factorial
 
 from .characters import character, syt_count
 from .exact import IntegralityError, as_integer, integer_det
-from .partitions import Partition, SkewShape, centralizer_order, contains, partitions_of
+from .partitions import (
+    Partition,
+    SkewShape,
+    centralizer_order,
+    partitions_of,
+    validate_partition,
+)
 
 BRUTE_FORCE_CELL_CAP = 25
 
 
-def skew_syt_brute(shape: SkewShape) -> int:
-    """Count skew SYT by growing the inner shape one cell at a time.
+def _walk_down(top: Partition, floor: Partition) -> Iterator[dict[Partition, int]]:
+    """Walk down Young's lattice from ``top`` to the weight of ``floor``.
 
-    Capped at BRUTE_FORCE_CELL_CAP cells; use the determinant or character
-    method beyond that.
+    Yields one level per weight, from ``|top|`` down to ``|floor|``: each
+    maps a shape to its number of saturated chains (growth paths) up to
+    ``top``.  A level removes one corner cell from every shape of the level
+    above and keeps only the shapes that still contain ``floor``.  No
+    recursion, so the stack depth does not grow with the number of cells.
+    Both arguments must already be valid partitions.
+    """
+    level = {top: 1}
+    yield level
+    reach = len(floor)
+    for _ in range(sum(top) - sum(floor)):
+        below: dict[Partition, int] = {}
+        for shape, paths in level.items():
+            last = len(shape) - 1
+            for i, row in enumerate(shape):
+                if i < last and row == shape[i + 1]:
+                    continue  # not a corner
+                if i < reach and row == floor[i]:
+                    continue  # the lower shape would not contain floor
+                if row > 1:
+                    lower = shape[:i] + (row - 1,) + shape[i + 1 :]
+                else:  # a row of 1 is a corner only as the last row
+                    lower = shape[:i]
+                below[lower] = below.get(lower, 0) + paths
+        level = below
+        yield level
+
+
+def skew_syt_brute(shape: SkewShape) -> int:
+    """Count skew SYT as growth paths from the inner to the outer shape.
+
+    The count at ``inner`` after walking down from ``outer``.  Capped at
+    BRUTE_FORCE_CELL_CAP cells; use the determinant or character method
+    beyond that.
     """
     if shape.size > BRUTE_FORCE_CELL_CAP:
         raise ValueError(
             f"brute-force enumeration capped at {BRUTE_FORCE_CELL_CAP} cells; "
             "use skew_syt_det or skew_syt_char"
         )
-    outer = shape.outer
-    start = shape.inner + (0,) * (len(outer) - len(shape.inner))
-    memo: dict[tuple[int, ...], int] = {}
-
-    def paths(cur: tuple[int, ...]) -> int:
-        if cur == outer:
-            return 1
-        hit = memo.get(cur)
-        if hit is not None:
-            return hit
-        total = 0
-        for i, row in enumerate(cur):
-            if row < outer[i] and (i == 0 or row < cur[i - 1]):
-                total += paths(cur[:i] + (row + 1,) + cur[i + 1 :])
-        memo[cur] = total
-        return total
-
-    return paths(start)
+    for level in _walk_down(shape.outer, shape.inner):
+        pass
+    return level[shape.inner]
 
 
 def skew_syt_det(shape: SkewShape) -> int:
@@ -129,16 +153,21 @@ def _det_fewer_rows(shape: SkewShape) -> int:
     return skew_syt_det(shape)
 
 
-def sum_skew_over_inner(alpha: Partition, m: int) -> int:
-    """Sum of f^(alpha/mu) over all mu of weight m; mu not inside alpha add 0.
+def _inner_sums(alpha: Partition) -> list[int]:
+    """Entry m is the sum of f^(alpha/mu) over all mu of weight m, for every m.
 
-    Only the partitions inside alpha's bounding box are generated.
+    One downward walk from alpha to the empty shape: the level of weight m
+    holds every mu of weight m inside alpha, with f^(alpha/mu) paths each.
     """
-    if not 0 <= m <= sum(alpha):
+    alpha = validate_partition(alpha)
+    sums = [sum(level.values()) for level in _walk_down(alpha, ())]
+    sums.reverse()
+    return sums
+
+
+def sum_skew_over_inner(alpha: Partition, m: int) -> int:
+    """Sum of f^(alpha/mu) over all mu of weight m; mu not inside alpha add 0."""
+    sums = _inner_sums(alpha)
+    if not 0 <= m < len(sums):
         raise ValueError("m must lie between 0 and |alpha|")
-    width = alpha[0] if alpha else 0
-    return sum(
-        _det_fewer_rows(SkewShape(alpha, mu))
-        for mu in partitions_of(m, max_part=width, max_len=len(alpha))
-        if contains(alpha, mu)
-    )
+    return sums[m]

@@ -216,5 +216,22 @@ def test_per_shape_loops_take_the_orientation_with_fewer_rows(monkeypatch):
 
     monkeypatch.setattr(skew_count, "skew_syt_det", recording_det)
     assert N_direct(12, (2, 1, 1)) == N_expansion(12, (2, 1, 1))
-    assert N_binomial(12, (2, 1, 1, 1)) == N_expansion(12, (2, 1, 1, 1))
     assert outers and all(len(lam) <= lam[0] for lam in outers)
+
+
+def test_binomial_route_runs_no_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the binomial route ran a determinant")
+
+    monkeypatch.setattr(skew_count, "skew_syt_det", refuse)
+    monkeypatch.setattr(skew_count, "integer_det", refuse)
+    assert N_binomial(12, (2, 1, 1, 1)) == N_expansion(12, (2, 1, 1, 1))
+    for alpha in [(3, 2, 1), (4, 2, 1, 1), (2, 2, 2, 2), (1,) * 8, (8,), (5, 3)]:
+        for n in (sum(alpha) - 1, sum(alpha), 14, 30):
+            assert N_binomial(n, alpha) == N_expansion(n, alpha), (n, alpha)
+
+
+@pytest.mark.parametrize("alpha", [(1, 2), (0,), (2, 0), (1, -1)])
+def test_binomial_rejects_an_invalid_alpha(alpha):
+    with pytest.raises(ValueError):
+        N_binomial(5, alpha)

@@ -253,3 +253,16 @@ def test_skew_shape_construction():
         SkewShape((2, 1), (2, 2))
     with pytest.raises(ValueError):
         SkewShape((1, 2), ())
+
+
+def test_skew_shape_conjugate_equals_a_validated_transpose():
+    for n in range(11):
+        for lam in partitions_of(n):
+            for k in range(n + 1):
+                for alpha in partitions_of(k):
+                    if not contains(lam, alpha):
+                        continue
+                    shape = SkewShape(lam, alpha)
+                    flipped = shape.conjugate()
+                    assert flipped == SkewShape(conjugate(lam), conjugate(alpha))
+                    assert flipped.conjugate() == shape

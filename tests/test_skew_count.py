@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -5,6 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import skewtab
 from skewtab.characters import syt_count
 from skewtab.exact import IntegralityError
 from skewtab.partitions import SkewShape, contains, partitions_of, skew_cells
@@ -90,6 +94,31 @@ def test_brute_against_permutation_filter():
         assert skew_syt_brute(shape) == filtered_permutation_count(shape)
 
 
+def test_brute_equals_det_up_to_10_cells():
+    for shape in small_skew_pairs(10, 10):
+        assert skew_syt_brute(shape) == skew_syt_det(shape), shape
+
+
+def test_brute_stack_depth_does_not_grow_with_cells():
+    # A recursive path count needs about one frame per cell, so it fails at
+    # this limit on the 25-cell column; the level-by-level walk does not.
+    script = (
+        "import sys\n"
+        "from skewtab.partitions import SkewShape\n"
+        "from skewtab.skew_count import skew_syt_brute\n"
+        "shape = SkewShape((1,) * 25, ())\n"
+        "sys.setrecursionlimit(15)\n"
+        "print(skew_syt_brute(shape))\n"
+    )
+    src = os.path.dirname(os.path.dirname(skewtab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1\n"
+
+
 def test_brute_cap():
     with pytest.raises(ValueError):
         skew_syt_brute(SkewShape((26,), ()))
@@ -169,8 +198,15 @@ def test_sum_skew_over_inner_empty_alpha():
     assert sum_skew_over_inner((), 0) == 1
 
 
+def test_sum_skew_over_inner_rejects_an_invalid_alpha():
+    with pytest.raises(ValueError):
+        sum_skew_over_inner((1, 2), 1)
+    with pytest.raises(ValueError):
+        sum_skew_over_inner((0,), 0)
+
+
 def test_sum_skew_over_inner_against_filtering_every_partition():
-    for k in range(9):
+    for k in range(11):
         for alpha in partitions_of(k):
             for m in range(k + 1):
                 assert sum_skew_over_inner(alpha, m) == filtered_inner_sum(alpha, m), (alpha, m)
