@@ -142,6 +142,10 @@ def _cmd_contain(args) -> int:
 def _cmd_table(args) -> int:
     from .partitions import partitions_of
 
+    if args.max_k < 0:
+        raise ValueError("--max-k must be nonnegative")
+    if args.n_max < 0:
+        raise ValueError("--n-max must be nonnegative")
     rows = []
     all_match = True
     for k in range(1, args.max_k + 1):

@@ -35,6 +35,7 @@ from .partitions import (
     partitions_no_small_parts,
     partitions_of,
     square_cycle_type,
+    validate_partition,
 )
 from .sequences import a_poly, b_stable, involutions, q_coeff
 from .skew_count import _det_fewer_rows, _inner_sums
@@ -82,6 +83,7 @@ def t_shift_coeff(j: int, alpha: Partition) -> Fraction:
 
 def N_direct(n: int, alpha: Partition) -> int:
     """N(n; alpha) from the definition: sum of f^(lam/alpha) over lam of n cells."""
+    alpha = validate_partition(alpha)
     if n < 0:
         raise ValueError("n must be nonnegative")
     width = alpha[0] if alpha else 0
@@ -97,6 +99,7 @@ def N_direct(n: int, alpha: Partition) -> int:
 
 def N_expansion(n: int, alpha: Partition) -> int:
     """N(n; alpha) as sum_j e_j(alpha) t_{n-j}; zero for n < |alpha|."""
+    alpha = validate_partition(alpha)
     k = sum(alpha)
     if n < k:
         return 0

@@ -2,7 +2,9 @@
 
 * ``skew_syt_brute``  -- growth paths between the inner and outer shape,
   counted by one level-by-level walk down Young's lattice,
-* ``skew_syt_det``    -- the classical factorial determinant,
+* ``skew_syt_det``    -- the classical factorial determinant, built as the
+  beta-set falling-factorial matrix and eliminated from its low-degree
+  corner,
 * ``skew_syt_char``   -- a character sum over classes of the inner weight.
 
 The three agree on every valid input; the test suite asserts this, and
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from .characters import character, syt_count
 from .exact import IntegralityError, as_integer, integer_det
@@ -86,28 +88,30 @@ def skew_syt_brute(shape: SkewShape) -> int:
 def skew_syt_det(shape: SkewShape) -> int:
     """Count skew SYT via the factorial determinant.
 
-    The (i, j) entry is 1/(lam_i - alpha_j - i + j)! with 1/m! = 0 for m < 0;
-    rows are rescaled by (lam_i + ell - i)! so the determinant is computed in
-    integers, and the final division is checked exact.
+    Aitken: f^(lam/alpha) = n! det[1/(lam_i - alpha_j - i + j)!], with
+    1/m! = 0 for m < 0.  In the beta sets a_i = lam_i + ell - 1 - i and
+    b_j = alpha_j + ell - 1 - j that exponent is a_i - b_j, so scaling row i
+    by a_i! makes entry (i, j) the falling factorial perm(a_i, b_j), which
+    is 0 when b_j > a_i.  Column j holds a polynomial of degree b_j in a_i.
+    Rows and columns run in ascending beta order, the reverse of both axes,
+    which leaves the determinant and its sign unchanged: Bareiss then
+    eliminates the columns of lowest degree first (1, a_i, ... when alpha
+    is shorter than lam), so its intermediate minors stay Vandermonde-sized
+    instead of carrying the largest falling factorials through every step.
+    The final division by prod(a_i!) is checked exact.
     """
     lam, alpha = shape.outer, shape.inner
     ell = len(lam)
     if ell == 0:
         return 1
     padded = alpha + (0,) * (ell - len(alpha))
-    scale = [factorial(lam[i] + ell - 1 - i) for i in range(ell)]
-    matrix = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            m = lam[i] - padded[j] - i + j
-            row.append(0 if m < 0 else scale[i] // factorial(m))
-        matrix.append(row)
-    det = integer_det(matrix)
+    a = [lam[i] + ell - 1 - i for i in reversed(range(ell))]
+    b = [padded[j] + ell - 1 - j for j in reversed(range(ell))]
+    det = integer_det([[perm(ai, bj) for bj in b] for ai in a])
     numerator = factorial(shape.size) * det
     denominator = 1
-    for s in scale:
-        denominator *= s
+    for ai in a:
+        denominator *= factorial(ai)
     count, rem = divmod(numerator, denominator)
     if rem != 0 or count < 0:
         raise IntegralityError(

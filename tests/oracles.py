@@ -4,6 +4,7 @@ no code with the library's own.
 ``character_oracle`` reads characters off the alternant times a power sum,
 independently of the layered border-strip rule.  ``schur_sum_identity_check``
 checks the Schur-sum identity behind the acceptance suite's criterion 12.
+``leibniz_det`` is the permutation-sum determinant, with no elimination.
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
         if perm[i] > perm[j]
     )
     return -1 if inversions % 2 else 1
+
+
+def leibniz_det(matrix: list[list[int]]) -> int:
+    """Determinant as the signed sum over permutations; 1 for the 0x0 matrix."""
+    total = 0
+    for perm in permutations(range(len(matrix))):
+        term = _perm_sign(perm)
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
 
 
 def character_oracle(lam: Partition, mu: Partition) -> int:

@@ -111,6 +111,14 @@ def test_table_zero_rows_below_weight(capsys):
             assert row["expansion"] == "0"
 
 
+@pytest.mark.parametrize("flag, value", [("--max-k", "-1"), ("--n-max", "-2")])
+def test_table_negative_bound_exits_2(capsys, flag, value):
+    code, out, err = run(capsys, ["table", flag, value])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 def test_asym_tn(capsys):
     code, record, _ = run_json(capsys, ["asym", "tn", "--n", "50", "--order", "2"])
     assert code == 0

@@ -235,3 +235,11 @@ def test_binomial_route_runs_no_determinant(monkeypatch):
 def test_binomial_rejects_an_invalid_alpha(alpha):
     with pytest.raises(ValueError):
         N_binomial(5, alpha)
+
+
+@pytest.mark.parametrize("route", ["direct", "expansion", "binomial"])
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("alpha", [(1, 2), (0,), (2, 0), (1, -1)])
+def test_every_route_rejects_an_invalid_alpha(route, n, alpha):
+    with pytest.raises(ValueError):
+        containment.routes()[route](n, alpha)

@@ -166,6 +166,24 @@ def test_three_routes_agree_on_random_shapes(shape):
     assert skew_syt_char(shape) == brute
 
 
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        ((24, 23, 21, 21, 20, 19, 18, 17, 16, 14, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 2),
+         (2, 1, 1, 1, 1)),
+        ((22, 22, 19, 19, 19, 17, 17, 14, 14, 14, 12, 11, 10, 9, 9, 8, 8, 6, 4, 3, 3, 1), (5,)),
+        ((30,) + (1,) * 30, (2,)),
+        ((20,) * 20, (5, 3, 1)),
+    ],
+)
+def test_det_agrees_with_char_and_its_conjugate_on_large_shapes(outer, inner):
+    shape = SkewShape(outer, inner)
+    count = skew_syt_det(shape)
+    assert count > 0
+    assert skew_syt_char(shape) == count
+    assert skew_syt_det(shape.conjugate()) == count
+
+
 def test_conjugation_symmetry():
     # all inner shapes, not just small ones
     for shape in small_skew_pairs(9, 9):
