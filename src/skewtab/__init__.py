@@ -51,7 +51,6 @@ from .asymptotics import (
     LimitSpec,
     biane_estimate,
     bulk_mass,
-    bulk_members,
     containment_probability_estimate,
     mw_involutions_estimate,
     mw_log_involutions_estimate,

@@ -7,6 +7,12 @@ ratio f^(lam/alpha) / f^lam under row/column frequencies (a; b) is the
 super-Schur value s_alpha(a / -b), computed from its power-sum expansion
 sum over nu of chi^alpha(nu)/z_nu * prod_j (p_{nu_j}(a) + (-1)^(nu_j - 1)
 p_{nu_j}(b)).
+
+``bulk_mass`` sums f^lam over the shapes whose first part and length lie
+in the strict window (2 - eps) sqrt(n) < x < (2 + eps) sqrt(n) without
+listing them; the list itself is a test oracle that reads the same
+``_bulk_window``.  The growth constant C_3 of a rescaled limit shape is
+passed to ``biane_estimate`` directly.
 """
 
 from __future__ import annotations
@@ -34,14 +40,11 @@ class LimitSpec:
     """Row/column frequency data (a; b) for a growing partition sequence.
 
     Frequencies are exact rationals, weakly decreasing and nonnegative, with
-    total mass at most 1 (exactly 1 for the TVK estimator).  ``biane_c``
-    optionally carries the character-growth constants (C_2, C_3, ...) of a
-    rescaled limit shape; they are caller-supplied inputs, with C_2 = 1.
+    total mass at most 1 (exactly 1 for the TVK estimator).
     """
 
     a: tuple[Fraction, ...]
     b: tuple[Fraction, ...] = ()
-    biane_c: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
@@ -53,8 +56,6 @@ class LimitSpec:
                 raise ValueError("frequencies must be weakly decreasing")
         if self.frequency_sum() > 1:
             raise ValueError("total frequency mass exceeds 1")
-        if self.biane_c is not None and self.biane_c[0] != 1:
-            raise ValueError("the first growth constant C_2 must equal 1")
 
     def frequency_sum(self) -> Fraction:
         return sum(self.a, Fraction(0)) + sum(self.b, Fraction(0))
@@ -168,20 +169,6 @@ def _bulk_window(n: int, eps) -> tuple[int, int]:
     hi = math.isqrt(math.ceil((2 + eps) ** 2 * n) - 1)
     lo = math.isqrt(math.floor((2 - eps) ** 2 * n)) + 1 if eps < 2 else 1
     return lo, hi
-
-
-def bulk_members(n: int, eps) -> list[Partition]:
-    """Partitions of n whose first part and length both lie in the bulk window.
-
-    The window is decided once as an integer range (``_bulk_window``), and
-    only partitions inside the hi x hi box are generated.
-    """
-    lo, hi = _bulk_window(n, eps)
-    return [
-        lam
-        for lam in partitions_of(n, max_part=hi, max_len=hi)
-        if lam[0] >= lo and len(lam) >= lo
-    ]
 
 
 def _window_rows_sum(n: int, ell: int, lo: int, hi: int) -> int:

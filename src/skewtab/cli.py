@@ -25,7 +25,13 @@ from fractions import Fraction
 
 from . import asymptotics, containment, sequences, skew_count
 from .exact import IntegralityError
-from .partitions import InvalidSkewShapeError, SkewShape, format_partition, parse_partition
+from .partitions import (
+    InvalidSkewShapeError,
+    SkewShape,
+    format_partition,
+    parse_partition,
+    partitions_of,
+)
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -140,10 +146,8 @@ def _cmd_contain(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .partitions import partitions_of
-
-    if args.max_k < 0:
-        raise ValueError("--max-k must be nonnegative")
+    if args.max_k < 1:
+        raise ValueError("--max-k must be at least 1")
     if args.n_max < 0:
         raise ValueError("--n-max must be nonnegative")
     rows = []

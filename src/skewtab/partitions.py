@@ -5,6 +5,9 @@ empty tuple is the unique partition of 0.  Tuples are hashable, so
 partitions can key memo tables directly, and all operations here are pure,
 which makes them safe to share across threads.
 
+Both enumerations, ``partitions_of(n)`` (every partition of n) and
+``partitions_no_small_parts(j)`` (no part below 3), run one generator.
+
 Text syntax (used by the CLI and test fixtures): comma-separated parts,
 e.g. ``"6,6,5,4,2,1"``; the empty string denotes the empty partition.
 """
@@ -94,52 +97,26 @@ def centralizer_order(mu: Partition) -> int:
     return z
 
 
-def _descending_parts(n: int, max_part: int, min_part: int) -> Iterator[Partition]:
+def _descending_parts(n: int, largest: int, smallest: int) -> Iterator[Partition]:
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), min_part - 1, -1):
+    for first in range(min(n, largest), smallest - 1, -1):
         rest = n - first
-        if rest and rest < min_part:
+        if rest and rest < smallest:
             continue
-        for tail in _descending_parts(rest, first, min_part):
+        for tail in _descending_parts(rest, first, smallest):
             yield (first,) + tail
 
 
-def _boxed_parts(n: int, max_part: int, max_len: int) -> Iterator[Partition]:
-    # Same order as _descending_parts.  The tail has at most max_len - 1 parts,
-    # none above the first, so first >= ceil(n / max_len): the bound sits in
-    # the loop's lower limit, (n - 1) // max_len = ceil(n / max_len) - 1.  A
-    # separate generator keeps the unbounded enumeration free of its cost.
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), (n - 1) // max_len, -1):
-        for tail in _boxed_parts(n - first, first, max_len - 1):
-            yield (first,) + tail
-
-
-def partitions_of(
-    n: int, max_part: int | None = None, max_len: int | None = None
-) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in reverse-lexicographic order.
 
     The order is stable and documented: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
-    ``max_part`` restricts the largest part and ``max_len`` the number of
-    parts (useful for pruned sums); with both, only partitions inside the
-    ``max_len x max_part`` box are generated.  Bounds only drop partitions,
-    so the order of the survivors is unchanged.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if max_part is None:
-        max_part = n
-    if max_len is None:
-        yield from _descending_parts(n, max_part, 1)
-    elif max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    elif max_len > 0 or n == 0:  # an empty box holds only the empty partition
-        yield from _boxed_parts(n, max_part, max_len)
+    yield from _descending_parts(n, n, 1)
 
 
 def partitions_no_small_parts(j: int) -> Iterator[Partition]:

@@ -5,14 +5,19 @@ no code with the library's own.
 independently of the layered border-strip rule.  ``schur_sum_identity_check``
 checks the Schur-sum identity behind the acceptance suite's criterion 12.
 ``leibniz_det`` is the permutation-sum determinant, with no elimination.
+``boxed_partitions`` enumerates the partitions inside a box, and
+``bulk_members`` lists the shapes of the bulk window with it; the window
+itself is read from the library's ``_bulk_window``, so the members check
+the runtime window while ``bulk_mass`` never lists them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Iterator
 
-from skewtab.asymptotics import power_sum, schur_value
+from skewtab.asymptotics import _bulk_window, power_sum, schur_value
 from skewtab.partitions import Partition, centralizer_order, partitions_of, square_cycle_type
 
 ORACLE_WEIGHT_CAP = 8
@@ -37,6 +42,46 @@ def leibniz_det(matrix: list[list[int]]) -> int:
             term *= matrix[row][col]
         total += term
     return total
+
+
+def _boxed_parts(n: int, max_part: int, max_len: int) -> Iterator[Partition]:
+    # The tail has at most max_len - 1 parts, none above the first, so
+    # first >= ceil(n / max_len): the bound sits in the loop's lower limit,
+    # (n - 1) // max_len = ceil(n / max_len) - 1.
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), (n - 1) // max_len, -1):
+        for tail in _boxed_parts(n - first, first, max_len - 1):
+            yield (first,) + tail
+
+
+def boxed_partitions(n: int, max_part: int, max_len: int) -> Iterator[Partition]:
+    """Partitions of n with at most max_len parts, none above max_part.
+
+    Only partitions inside the ``max_len x max_part`` box are generated, in
+    the reverse-lexicographic order of ``partitions_of``.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    if max_len > 0 or n == 0:  # an empty box holds only the empty partition
+        yield from _boxed_parts(n, max_part, max_len)
+
+
+def bulk_members(n: int, eps) -> list[Partition]:
+    """Partitions of n whose first part and length both lie in the bulk window.
+
+    The window is decided once as an integer range (``_bulk_window``), and
+    only partitions inside the hi x hi box are generated.
+    """
+    lo, hi = _bulk_window(n, eps)
+    return [
+        lam
+        for lam in boxed_partitions(n, hi, hi)
+        if lam[0] >= lo and len(lam) >= lo
+    ]
 
 
 def character_oracle(lam: Partition, mu: Partition) -> int:

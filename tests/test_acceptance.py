@@ -12,7 +12,6 @@ from math import factorial
 
 from skewtab.asymptotics import (
     bulk_mass,
-    bulk_members,
     containment_probability_estimate,
     mw_log_involutions_estimate,
     rectangle_factorization,
@@ -46,7 +45,7 @@ from skewtab.partitions import (
 from skewtab.sequences import involutions
 from skewtab.skew_count import skew_syt_brute, skew_syt_char, skew_syt_det
 
-from oracles import character_oracle, schur_sum_identity_check
+from oracles import bulk_members, character_oracle, schur_sum_identity_check
 
 
 @contextmanager

@@ -10,7 +10,6 @@ from skewtab.asymptotics import (
     _window_rows_sum,
     biane_estimate,
     bulk_mass,
-    bulk_members,
     containment_probability_estimate,
     mw_involutions_estimate,
     mw_log_involutions_estimate,
@@ -28,7 +27,7 @@ from skewtab.partitions import SkewShape, partitions_of
 from skewtab.sequences import involutions
 from skewtab.skew_count import skew_syt_det
 
-from oracles import schur_sum_identity_check
+from oracles import bulk_members, schur_sum_identity_check
 
 
 # ---------------------------------------------------------------- oracles
@@ -104,6 +103,81 @@ def test_mw_shifted_reduces_to_plain_at_j_zero():
 def test_mw_shifted_accuracy():
     assert abs(relative_error(mw_log_shifted_estimate(100, 3), involutions(97))) < 0.005
     assert abs(relative_error(mw_log_shifted_estimate(400, 3), involutions(397))) < 0.0005
+
+
+SERIES_ORDER = 4  # x^0..x^4: a series divided by x^2 stays exact to x^2
+
+
+def series_mul(p, q):
+    return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(SERIES_ORDER + 1)]
+
+
+def series_div_x(p, k):
+    assert not any(p[:k]), "the series must vanish to order x^k"
+    return p[k:] + [Fraction(0)] * k
+
+
+def one_minus_t_power(a, j):
+    """(1 - t)^a with t = j x^2, by the binomial series."""
+    coeffs = [Fraction(0)] * (SERIES_ORDER + 1)
+    binom = Fraction(1)
+    for k in range(SERIES_ORDER // 2 + 1):
+        coeffs[2 * k] = binom * (-j) ** k
+        binom = binom * (a - k) / (k + 1)
+    return coeffs
+
+
+def derived_shifted_correction(j, c1, c2):
+    """Coefficients of x^0, x^1, x^2 in the t_{n-j} estimate's correction
+    written in n, with x = n^(-1/2).
+
+    The t_m estimate is (1/sqrt 2) m^(m/2) exp(-m/2 + sqrt m - 1/4)
+    (1 + c1/sqrt m + c2/m).  Put m = n - j = n(1 - t) with t = j x^2 and
+    divide by (1/sqrt 2) n^(m/2) exp(-n/2 + sqrt n - 1/4): what is left is
+    exp(u) (1 + c1 x (1 - t)^(-1/2) + c2 x^2 (1 - t)^(-1)), where
+    u = (m/2) log(1 - t) + j/2 + x^-1 ((1 - t)^(1/2) - 1).
+    """
+    log_one_minus_t = [Fraction(0)] * (SERIES_ORDER + 1)
+    for k in range(1, SERIES_ORDER // 2 + 1):
+        log_one_minus_t[2 * k] = -Fraction(j) ** k / k
+    m_log = series_div_x(series_mul(one_minus_t_power(1, j), log_one_minus_t), 2)
+    half_m_log = [c / 2 for c in m_log]
+    root_step = one_minus_t_power(Fraction(1, 2), j)
+    root_step[0] -= 1
+    u = [a + b for a, b in zip(half_m_log, series_div_x(root_step, 1))]
+    u[0] += Fraction(j, 2)
+    assert u[:3] == [0, Fraction(-j, 2), Fraction(j * j, 4)]
+    exp_u = [Fraction(1)] + [Fraction(0)] * SERIES_ORDER
+    term = list(exp_u)
+    for k in range(1, SERIES_ORDER + 1):
+        term = [c / k for c in series_mul(term, u)]
+        exp_u = [a + b for a, b in zip(exp_u, term)]
+    corr = [Fraction(1)] + [Fraction(0)] * SERIES_ORDER
+    for coeff, power, a in ((c1, 1, Fraction(-1, 2)), (c2, 2, Fraction(-1))):
+        shifted = [Fraction(0)] * power + one_minus_t_power(a, j)[: SERIES_ORDER + 1 - power]
+        corr = [x + coeff * y for x, y in zip(corr, shifted)]
+    return series_mul(exp_u, corr)[:3]
+
+
+def test_mw_shifted_constants_derive_from_the_involution_estimate():
+    # read c1 = 7/24 and c2 = -119/1152 off mw_log_involutions_estimate at n = 1
+    corr = [math.exp(mw_log_involutions_estimate(1, k) - mw_log_involutions_estimate(1, 0))
+            for k in (1, 2)]
+    c1 = Fraction(corr[0] - 1).limit_denominator(10**4)
+    c2 = Fraction(corr[1] - corr[0]).limit_denominator(10**4)
+    assert (c1, c2) == (Fraction(7, 24), Fraction(-119, 1152))
+    derived = {j: derived_shifted_correction(j, c1, c2) for j in range(11)}
+    for j, coeffs in derived.items():
+        assert coeffs == [
+            1,
+            Fraction(7, 24) - Fraction(j, 2),
+            -(Fraction(119, 1152) + Fraction(7 * j, 48) - Fraction(3 * j * j, 8)),
+        ], j
+    for n in (400, 10**4):
+        for j, (_, d1, d2) in derived.items():
+            log_lead = mw_log_involutions_estimate(n, 0) - j / 2 * math.log(n)
+            expected = log_lead + math.log(1 + float(d1) / math.sqrt(n) + float(d2) / n)
+            assert mw_log_shifted_estimate(n, j) == pytest.approx(expected, rel=1e-12), (n, j)
 
 
 def test_mw_domain_errors():
@@ -467,9 +541,7 @@ def test_limit_spec_validation():
         LimitSpec(a=(Fraction(-1, 2),))
     with pytest.raises(ValueError):
         LimitSpec(a=(Fraction(3, 4),), b=(Fraction(1, 2),))
-    with pytest.raises(ValueError):
-        LimitSpec(a=(Fraction(1, 2),), biane_c=(2.0,))
-    spec = LimitSpec(a=(Fraction(1, 2),), b=(Fraction(1, 4),), biane_c=(1.0, 0.5))
+    spec = LimitSpec(a=(Fraction(1, 2),), b=(Fraction(1, 4),))
     assert spec.frequency_sum() == Fraction(3, 4)
 
 

@@ -111,7 +111,9 @@ def test_table_zero_rows_below_weight(capsys):
             assert row["expansion"] == "0"
 
 
-@pytest.mark.parametrize("flag, value", [("--max-k", "-1"), ("--n-max", "-2")])
+@pytest.mark.parametrize(
+    "flag, value", [("--max-k", "-1"), ("--max-k", "0"), ("--n-max", "-2")]
+)
 def test_table_negative_bound_exits_2(capsys, flag, value):
     code, out, err = run(capsys, ["table", flag, value])
     assert code == 2

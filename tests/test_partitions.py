@@ -18,6 +18,8 @@ from skewtab.partitions import (
     validate_partition,
 )
 
+from oracles import boxed_partitions
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -201,29 +203,29 @@ def test_partitions_of_25_has_1958_entries():
     assert sum(1 for _ in partitions_of(25)) == 1958
 
 
-def test_partitions_of_max_part():
-    assert list(partitions_of(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+def test_boxed_partitions_max_part():
+    assert list(boxed_partitions(4, 2, 4)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
-def test_partitions_of_box_bounds_filter_in_order():
+def test_boxed_partitions_filter_in_order():
     for n in range(21):
         everything = list(partitions_of(n))
         for max_len in range(n + 2):
             expected = [lam for lam in everything if len(lam) <= max_len]
-            assert list(partitions_of(n, max_len=max_len)) == expected, (n, max_len)
+            assert list(boxed_partitions(n, n, max_len)) == expected, (n, max_len)
             for max_part in {0, 1, 2, max_len - 1, max_len, max_len + 1, n // 2, n}:
                 boxed = [lam for lam in expected if not lam or lam[0] <= max_part]
-                got = list(partitions_of(n, max_part=max_part, max_len=max_len))
+                got = list(boxed_partitions(n, max_part, max_len))
                 assert got == boxed, (n, max_part, max_len)
 
 
-def test_partitions_of_max_len_examples():
-    assert list(partitions_of(4, max_len=2)) == [(4,), (3, 1), (2, 2)]
-    assert list(partitions_of(0, max_len=0)) == [()]
-    assert list(partitions_of(3, max_len=0)) == []
-    assert list(partitions_of(6, max_part=2, max_len=2)) == []
+def test_boxed_partitions_max_len_examples():
+    assert list(boxed_partitions(4, 4, 2)) == [(4,), (3, 1), (2, 2)]
+    assert list(boxed_partitions(0, 0, 0)) == [()]
+    assert list(boxed_partitions(3, 3, 0)) == []
+    assert list(boxed_partitions(6, 2, 2)) == []
     with pytest.raises(ValueError):
-        list(partitions_of(3, max_len=-1))
+        list(boxed_partitions(3, 3, -1))
 
 
 def test_partitions_no_small_parts():
