@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 
 from .characters import character, syt_count, transposition_character
+from .containment import t_shift_coeff
 from .exact import integer_det
 from .partitions import (
     Partition,
@@ -125,8 +126,6 @@ def containment_probability_estimate(n: int, alpha: Partition) -> float:
     coefficients converted to floats.  Shapes with fewer than 3 (resp. 4)
     cells have no e_3 (resp. e_4) term.
     """
-    from .containment import t_shift_coeff
-
     if n < 1:
         raise ValueError("n must be positive")
     k = sum(alpha)

@@ -4,10 +4,15 @@ table, run cross-checks, and emit asymptotic comparison reports.
 Subcommands: ``skew``, ``contain``, ``table``, ``asym``.  Every command
 supports ``--json``, emitting a single JSON object per invocation in which
 big integers are decimal strings (never floats) and rationals are "p/q"
-strings in lowest terms with the sign on the numerator.
+strings in lowest terms with the sign on the numerator.  ``_report`` is the
+one writer of that record ``{command, inputs, results, agree}`` and of the
+text lines printed instead of it.
 
 The skew and containment routes, and so the ``--method`` choices, are read
-from ``skew_count.routes()`` and ``containment.routes()``.
+from ``skew_count.routes()`` and ``containment.routes()``.  The ``asym``
+kinds are the keys of ``_ASYM``: ``tn`` and ``shift`` (Moser-Wyman estimates
+of t_n and t_{n-m}), ``prob`` (P(n; alpha)), ``vk`` (two-row limit ratio)
+and ``mass`` (bulk mass).
 
 Exit codes: 0 ok (all requested agreement flags true), 1 disagreement,
 2 parse error, 3 invalid skew shape, 4 internal integrality violation,
@@ -78,12 +83,11 @@ def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_parse_rational(item) for item in text.split(","))
 
 
-def _emit(record: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(render_json(record))
-    else:
-        for line in lines:
-            print(line)
+def _report(args, inputs: dict, results: dict, agree, lines: list[str]) -> int:
+    """Print the record under ``--json``, else the lines; only ``agree is False`` exits 1."""
+    record = {"command": args.cmd, "inputs": inputs, "results": results, "agree": agree}
+    print(render_json(record) if args.json else "\n".join(lines))
+    return EXIT_DISAGREE if agree is False else EXIT_OK
 
 
 def _cross_check(args, routes: dict, route_args: tuple, inputs: dict, title: str, summary) -> int:
@@ -98,19 +102,13 @@ def _cross_check(args, routes: dict, route_args: tuple, inputs: dict, title: str
     agree = len(set(values.values())) == 1
     fields, rows = summary(next(iter(values.values())))
     by_method = {name: _fmt_int(v) for name, v in values.items()}
-    record = {
-        "command": args.cmd,
-        "inputs": {**inputs, "method": args.method},
-        "results": {**fields, "by_method": by_method},
-        "agree": agree,
-    }
     width = max(map(len, routes))
     rows = [*by_method.items(), *rows]
     if args.method == "all":
         rows.append(("agree", agree))
     lines = [title] + [f"  {label:{width}s} = {text}" for label, text in rows]
-    _emit(record, args.json, lines)
-    return EXIT_OK if agree else EXIT_DISAGREE
+    inputs = {**inputs, "method": args.method}
+    return _report(args, inputs, {**fields, "by_method": by_method}, agree, lines)
 
 
 def _cmd_skew(args) -> int:
@@ -170,12 +168,6 @@ def _cmd_table(args) -> int:
                     row["match"] = golden == value
                     all_match = all_match and row["match"]
                 rows.append(row)
-    record = {
-        "command": "table",
-        "inputs": {"max_k": args.max_k, "n_max": args.n_max},
-        "results": {"rows": rows},
-        "agree": all_match,
-    }
     lines = [f"{'alpha':12s} {'n':>3s} {'expansion':>14s} {'closed form':>14s} match"]
     for row in rows:
         golden = row["closed_form"] if row["closed_form"] is not None else "-"
@@ -185,40 +177,22 @@ def _cmd_table(args) -> int:
             f"{golden:>14s} {match}"
         )
     lines.append(f"all match: {all_match}")
-    _emit(record, args.json, lines)
-    return EXIT_OK if all_match else EXIT_DISAGREE
+    inputs = {"max_k": args.max_k, "n_max": args.n_max}
+    return _report(args, inputs, {"rows": rows}, all_match, lines)
 
 
-def _asym_tn(args) -> tuple[dict, list[str]]:
-    exact = sequences.involutions(args.n)
-    log_est = asymptotics.mw_log_involutions_estimate(args.n, args.order)
+def _asym_t(index: int, log_est: float, estimate: float, label: str) -> tuple[dict, list[str]]:
+    """Compare an estimate of t_index with the exact t_index.
+
+    The estimate comes in already computed, so arguments that its estimator
+    rejects never build the table of t up to ``index``.
+    """
+    exact = sequences.involutions(index)
     rel = asymptotics.relative_error(log_est, exact)
-    results = {
-        "estimate": asymptotics.mw_involutions_estimate(args.n, args.order),
-        "exact": _fmt_int(exact),
-        "rel_err": rel,
-    }
+    results = {"estimate": estimate, "exact": _fmt_int(exact), "rel_err": rel}
     lines = [
-        f"t({args.n}) estimate (order {args.order}) = {results['estimate']:.6e}",
-        f"t({args.n}) exact = {results['exact']}",
-        f"relative error = {rel:.3e}",
-    ]
-    return results, lines
-
-
-def _asym_shift(args) -> tuple[dict, list[str]]:
-    j = args.m
-    exact = sequences.involutions(args.n - j)
-    log_est = asymptotics.mw_log_shifted_estimate(args.n, j)
-    rel = asymptotics.relative_error(log_est, exact)
-    results = {
-        "estimate": asymptotics.mw_shifted_estimate(args.n, j),
-        "exact": _fmt_int(exact),
-        "rel_err": rel,
-    }
-    lines = [
-        f"t({args.n}-{j}) estimate = {results['estimate']:.6e}",
-        f"t({args.n - j}) exact = {results['exact']}",
+        f"{label} = {estimate:.6e}",
+        f"t({index}) exact = {results['exact']}",
         f"relative error = {rel:.3e}",
     ]
     return results, lines
@@ -229,11 +203,7 @@ def _asym_prob(args) -> tuple[dict, list[str]]:
     estimate = asymptotics.containment_probability_estimate(args.n, alpha)
     exact = containment.containment_probability(args.n, alpha)
     residual = float(exact) - estimate
-    results = {
-        "estimate": estimate,
-        "exact": _fmt_fraction(exact),
-        "residual": residual,
-    }
+    results = {"estimate": estimate, "exact": _fmt_fraction(exact), "residual": residual}
     lines = [
         f"P({args.n}; {args.alpha}) estimate = {estimate:.10f}",
         f"P({args.n}; {args.alpha}) exact = {_fmt_fraction(exact)} = {float(exact):.10f}",
@@ -245,15 +215,14 @@ def _asym_prob(args) -> tuple[dict, list[str]]:
 def _asym_vk(args) -> tuple[dict, list[str]]:
     alpha = parse_partition(args.alpha)
     spec = asymptotics.LimitSpec(_parse_rational_list(args.a), _parse_rational_list(args.b))
-    m = args.m
-    if m < 1:
+    if args.m < 1:
         raise ValueError("kind=vk needs --m >= 1 (the two-row size)")
     estimate = asymptotics.super_schur_value(alpha, spec.a, spec.b)
-    lam = (m, m)
+    lam = (args.m, args.m)
     f_lam = skew_count.skew_syt_det(SkewShape(lam, ()))
     f_skew = skew_count.skew_syt_det(SkewShape(lam, alpha))
     exact_ratio = Fraction(f_skew, f_lam)
-    rel = float(estimate / exact_ratio - 1) if exact_ratio else float("nan")
+    rel = float(estimate / exact_ratio - 1)
     results = {
         "estimate_ratio": _fmt_fraction(estimate),
         "exact_ratio": _fmt_fraction(exact_ratio),
@@ -262,7 +231,7 @@ def _asym_vk(args) -> tuple[dict, list[str]]:
     }
     lines = [
         f"limit ratio s_alpha(a/-b) = {_fmt_fraction(estimate)}",
-        f"exact ratio at lambda=({m},{m}): {_fmt_fraction(exact_ratio)}",
+        f"exact ratio at lambda=({args.m},{args.m}): {_fmt_fraction(exact_ratio)}",
         f"relative error = {rel:.3e}",
     ]
     return results, lines
@@ -276,32 +245,31 @@ def _asym_mass(args) -> tuple[dict, list[str]]:
     return results, lines
 
 
+# asym kind -> handler returning (results, text lines); tn and shift estimate first
+_ASYM = {
+    "tn": lambda args: _asym_t(
+        args.n,
+        asymptotics.mw_log_involutions_estimate(args.n, args.order),
+        asymptotics.mw_involutions_estimate(args.n, args.order),
+        f"t({args.n}) estimate (order {args.order})",
+    ),
+    "shift": lambda args: _asym_t(
+        args.n - args.m,
+        asymptotics.mw_log_shifted_estimate(args.n, args.m),
+        asymptotics.mw_shifted_estimate(args.n, args.m),
+        f"t({args.n}-{args.m}) estimate",
+    ),
+    "prob": _asym_prob,
+    "vk": _asym_vk,
+    "mass": _asym_mass,
+}
+
+
 def _cmd_asym(args) -> int:
-    handlers = {
-        "tn": _asym_tn,
-        "shift": _asym_shift,
-        "prob": _asym_prob,
-        "vk": _asym_vk,
-        "mass": _asym_mass,
-    }
-    results, lines = handlers[args.kind](args)
-    record = {
-        "command": "asym",
-        "inputs": {
-            "kind": args.kind,
-            "n": args.n,
-            "alpha": args.alpha,
-            "order": args.order,
-            "eps": args.eps,
-            "a": args.a,
-            "b": args.b,
-            "m": args.m,
-        },
-        "results": results,
-        "agree": None,
-    }
-    _emit(record, args.json, lines)
-    return EXIT_OK
+    results, lines = _ASYM[args.kind](args)
+    names = ("kind", "n", "alpha", "order", "eps", "a", "b", "m")
+    inputs = {name: getattr(args, name) for name in names}
+    return _report(args, inputs, results, None, lines)
 
 
 @functools.cache
@@ -334,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(run=_cmd_table)
 
     p_asym = sub.add_parser("asym", help="asymptotic estimates vs exact values")
-    p_asym.add_argument("kind", choices=("tn", "shift", "prob", "vk", "mass"))
+    p_asym.add_argument("kind", choices=tuple(_ASYM))
     p_asym.add_argument("--n", type=int, default=50)
     p_asym.add_argument("--alpha", default="", help="shape for prob/vk kinds")
     p_asym.add_argument("--order", type=int, default=2, help="corrections for kind=tn")

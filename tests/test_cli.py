@@ -176,6 +176,67 @@ def test_asym_mass(capsys):
     assert 0 <= int(num) <= int(den)
 
 
+ASYM_DEFAULT_INPUTS = {
+    "a": "", "alpha": "", "b": "", "eps": "1/2", "m": 0, "n": 50, "order": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, results, text",
+    [
+        (
+            ["tn", "--n", "10"],
+            {"kind": "tn", "n": 10},
+            {"estimate": 9483.903592081213, "exact": "9496", "rel_err": -0.0012738424514304103},
+            "t(10) estimate (order 2) = 9.483904e+03\nt(10) exact = 9496\n"
+            "relative error = -1.274e-03\n",
+        ),
+        (
+            ["shift", "--n", "10", "--m", "2"],
+            {"kind": "shift", "n": 10, "m": 2},
+            {"estimate": 777.1086864952783, "exact": "764", "rel_err": 0.017157966616856247},
+            "t(10-2) estimate = 7.771087e+02\nt(8) exact = 764\nrelative error = 1.716e-02\n",
+        ),
+        (
+            ["prob", "--n", "10", "--alpha", "2,1"],
+            {"kind": "prob", "n": 10, "alpha": "2,1"},
+            {
+                "estimate": 0.33279240779943875,
+                "exact": "386/1187",
+                "residual": -0.007602854303229822,
+            },
+            "P(10; 2,1) estimate = 0.3327924078\n"
+            "P(10; 2,1) exact = 386/1187 = 0.3251895535\nresidual = -7.603e-03\n",
+        ),
+        (
+            ["vk", "--alpha", "2", "--a", "1/2,1/2", "--m", "3"],
+            {"kind": "vk", "alpha": "2", "a": "1/2,1/2", "m": 3},
+            {"estimate_ratio": "3/4", "exact_ratio": "3/5", "lambda": "3,3", "rel_err": 0.25},
+            "limit ratio s_alpha(a/-b) = 3/4\nexact ratio at lambda=(3,3): 3/5\n"
+            "relative error = 2.500e-01\n",
+        ),
+        (
+            ["mass", "--n", "9"],
+            {"kind": "mass", "n": 9},
+            {"mass": "7/262", "mass_float": 0.026717557251908396},
+            "bulk mass(n=9, eps=1/2) = 7/262 = 0.026718\n",
+        ),
+    ],
+)
+def test_asym_output_is_pinned(capsys, argv, inputs, results, text):
+    # every kind reports all eight asym inputs, whichever of them it reads
+    record = {
+        "agree": None,
+        "command": "asym",
+        "inputs": {**ASYM_DEFAULT_INPUTS, **inputs},
+        "results": results,
+    }
+    assert len(record["inputs"]) == 8
+    assert run(capsys, ["asym", *argv]) == (0, text, "")
+    expected = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    assert run(capsys, ["asym", *argv, "--json"]) == (0, expected, "")
+
+
 def test_json_round_trips_bit_identically(capsys):
     for argv in [
         ["skew", "--outer", "2,2,1", "--inner", "1"],
@@ -214,6 +275,24 @@ def test_tn_beyond_the_int_str_digit_limit(capsys):
         assert f"t(20000) exact = {digits}" in out
     finally:
         del sequences._t[cached:]  # release the ~170 MB of memoized values
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["asym", "tn", "--n", "5000", "--order", "3"], "order must be 0, 1 or 2"),
+        (["asym", "shift", "--n", "5000", "--m", "-1"], "need 0 <= j <= n"),
+    ],
+)
+def test_rejected_asym_arguments_build_no_table_of_t(capsys, argv, message):
+    # the estimate checks n, --order and --m before any t_k is computed
+    cached = len(sequences._t)
+    assert cached <= 5000
+    try:
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+        assert len(sequences._t) == cached
+    finally:
+        del sequences._t[cached:]
 
 
 def test_fmt_fraction_beyond_the_int_str_digit_limit():
