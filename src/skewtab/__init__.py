@@ -33,7 +33,7 @@ from .skew_count import (
     skew_syt_brute,
     skew_syt_char,
     skew_syt_det,
-    sum_skew_over_inner,
+    walk_down,
 )
 from .containment import (
     CLOSED_FORMS,

@@ -171,7 +171,7 @@ def _bulk_window(n: int, eps) -> tuple[int, int]:
 
 
 def _window_rows_sum(n: int, ell: int, lo: int, hi: int) -> int:
-    """Sum of f^lam over partitions lam of n with exactly ell >= 2 rows and
+    """Sum of f^lam over partitions lam of n with exactly ell >= 1 rows and
     first part in [lo, hi].
 
     With beta set b_i = lam_i + ell - 1 - i and N = n + ell(ell - 1)/2,
@@ -222,15 +222,15 @@ def _window_rows_sum(n: int, ell: int, lo: int, hi: int) -> int:
 def bulk_mass(n: int, eps) -> Fraction:
     """Exact fraction of all n-cell SYT whose shape lies in the bulk window.
 
-    One beta-set walk per length ell in the window over the window's own
-    members (``_window_rows_sum``), with one asserted division per length;
-    a member whose remaining rows are all 1 is closed in one step, not one
-    frame per row, and the one-row shape (n) is counted directly.  Nothing
-    is sized by the window's upper bound, which can be huge for large eps.
+    One beta-set walk per length ell >= 1 in the window, over the window's
+    own members (``_window_rows_sum``), with one asserted division per
+    length; a member whose remaining rows are all 1 is closed in one step,
+    not one frame per row.  Nothing is sized by the window's upper bound,
+    which can be huge for large eps.
     """
     lo, hi = _bulk_window(n, eps)
-    total = 1 if lo <= 1 and n <= hi else 0
-    for ell in range(max(lo, 2), min(hi, n) + 1):
+    total = 0
+    for ell in range(lo, min(hi, n) + 1):
         total += _window_rows_sum(n, ell, lo, hi)
     return Fraction(total, involutions(n))
 

@@ -126,8 +126,6 @@ def _cmd_skew(args) -> int:
 def _cmd_contain(args) -> int:
     alpha = parse_partition(args.alpha)
     n = args.n
-    if n < 0:
-        raise ValueError("n must be nonnegative")
 
     def summary(count: int) -> tuple[dict, list]:
         prob = _fmt_fraction(Fraction(count, sequences.involutions(n)))

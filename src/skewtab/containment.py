@@ -11,8 +11,10 @@ Three independent routes are implemented and cross-checked:
 The three share no code: direct runs determinants, expansion characters,
 and binomial the walk.  ``routes()`` is the one list of them, by name, in
 the order the CLI's ``--method all`` runs them.  ``N_direct`` takes each
-determinant in the orientation with fewer rows
-(``f^(lam/alpha) = f^(lam'/alpha')``), through a helper in ``skew_count``.
+determinant in the orientation with fewer rows: it conjugates alpha once
+and counts every lam longer than it is wide as ``f^(lam'/alpha')``, which
+equals ``f^(lam/alpha)``.  Every route raises ValueError for a negative n
+and returns 0 for 0 <= n < |alpha|.
 
 ``CLOSED_FORMS`` freezes the classical closed forms for every shape with at
 most 5 cells; they serve as golden values for the expansion route.
@@ -31,6 +33,7 @@ from .partitions import (
     Partition,
     SkewShape,
     centralizer_order,
+    conjugate,
     contains,
     partitions_no_small_parts,
     partitions_of,
@@ -38,7 +41,7 @@ from .partitions import (
     validate_partition,
 )
 from .sequences import a_poly, b_stable, involutions, q_coeff
-from .skew_count import _det_fewer_rows, _inner_sums
+from .skew_count import skew_syt_det, walk_down
 
 # den, {shift j: numerator of e_j * den}; value = sum_j num * t_{n-j} / den.
 CLOSED_FORMS: dict[Partition, tuple[int, dict[int, int]]] = {
@@ -76,16 +79,21 @@ def t_shift_coeff(j: int, alpha: Partition) -> Fraction:
         raise ValueError("j must lie between 0 and |alpha|")
     total = Fraction(0)
     for mu in partitions_no_small_parts(j):
-        cls = tuple(sorted(square_cycle_type(mu) + (1,) * (k - j), reverse=True))
+        cls = square_cycle_type(mu) + (1,) * (k - j)
         total += Fraction(character(alpha, cls), centralizer_order(mu))
     return total / factorial(k - j)
 
 
 def N_direct(n: int, alpha: Partition) -> int:
-    """N(n; alpha) from the definition: sum of f^(lam/alpha) over lam of n cells."""
+    """N(n; alpha) from the definition: sum of f^(lam/alpha) over lam of n cells.
+
+    One determinant per lam, of dimension min(len(lam), lam[0]): a lam
+    longer than it is wide is counted as f^(lam'/alpha').
+    """
     alpha = validate_partition(alpha)
     if n < 0:
         raise ValueError("n must be nonnegative")
+    alpha_t = conjugate(alpha)
     width = alpha[0] if alpha else 0
     total = 0
     for lam in partitions_of(n):
@@ -93,13 +101,18 @@ def N_direct(n: int, alpha: Partition) -> int:
             break  # reverse-lex: every later lam has a smaller first part
         if len(lam) < len(alpha) or not contains(lam, alpha):
             continue
-        total += _det_fewer_rows(SkewShape(lam, alpha))
+        if lam and len(lam) > lam[0]:
+            total += skew_syt_det(SkewShape(conjugate(lam), alpha_t))
+        else:
+            total += skew_syt_det(SkewShape(lam, alpha))
     return total
 
 
 def N_expansion(n: int, alpha: Partition) -> int:
-    """N(n; alpha) as sum_j e_j(alpha) t_{n-j}; zero for n < |alpha|."""
+    """N(n; alpha) as sum_j e_j(alpha) t_{n-j}; zero for 0 <= n < |alpha|."""
     alpha = validate_partition(alpha)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     k = sum(alpha)
     if n < k:
         return 0
@@ -108,19 +121,20 @@ def N_expansion(n: int, alpha: Partition) -> int:
         coeff = t_shift_coeff(j, alpha)
         if coeff:
             total += coeff * involutions(n - j)
-    value = as_integer(total, f"N({n}; {alpha}) expansion")
-    if value < 0:
-        raise IntegralityError(f"N({n}; {alpha}) expansion is negative")
-    return value
+    return as_integer(total, f"N({n}; {alpha}) expansion")
 
 
 def N_binomial(n_plus_k: int, alpha: Partition) -> int:
     """N(n+k; alpha) = sum_j C(n,j) (sum over mu of f^(alpha/mu)) t_{n-j}.
 
     The inner sums, one per weight |mu| = k - j, all come from one walk down
-    Young's lattice from alpha.
+    Young's lattice from alpha to the empty shape: its level of weight m
+    holds every mu of weight m inside alpha, with f^(alpha/mu) paths each.
     """
-    sums = _inner_sums(alpha)
+    alpha = validate_partition(alpha)
+    if n_plus_k < 0:
+        raise ValueError("n must be nonnegative")
+    sums = [sum(level.values()) for level in walk_down(alpha, ())][::-1]
     k = len(sums) - 1
     if n_plus_k < k:
         return 0
@@ -153,8 +167,6 @@ def N_closed_form(n: int, alpha: Partition) -> int:
 
 def containment_probability(n: int, alpha: Partition) -> Fraction:
     """Probability that a uniform n-cell SYT contains a fixed tableau of shape alpha."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return Fraction(N_expansion(n, alpha), involutions(n))
 
 

@@ -15,11 +15,11 @@ class IntegralityError(ArithmeticError):
 
 
 def as_integer(value: Fraction | int, context: str) -> int:
-    """Assert that an exact rational is an integer and return it."""
-    if isinstance(value, int):
-        return value
+    """Assert that an exact rational is a count, a nonnegative integer, and return it."""
     if value.denominator != 1:
         raise IntegralityError(f"{context}: expected an integer, got {value}")
+    if value < 0:
+        raise IntegralityError(f"{context}: expected a nonnegative count, got {value}")
     return value.numerator
 
 

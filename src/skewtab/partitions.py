@@ -7,6 +7,8 @@ which makes them safe to share across threads.
 
 Both enumerations, ``partitions_of(n)`` (every partition of n) and
 ``partitions_no_small_parts(j)`` (no part below 3), run one generator.
+A ``SkewShape`` is validated on every construction, ``conjugate()``
+included.
 
 Text syntax (used by the CLI and test fixtures): comma-separated parts,
 e.g. ``"6,6,5,4,2,1"``; the empty string denotes the empty partition.
@@ -168,9 +170,4 @@ class SkewShape:
         return skew_cells(self.outer, self.inner)
 
     def conjugate(self) -> "SkewShape":
-        # Transposing a valid pair gives a valid pair, so __post_init__'s
-        # checks are skipped.
-        shape = object.__new__(SkewShape)
-        object.__setattr__(shape, "outer", conjugate(self.outer))
-        object.__setattr__(shape, "inner", conjugate(self.inner))
-        return shape
+        return SkewShape(conjugate(self.outer), conjugate(self.inner))

@@ -1,7 +1,7 @@
 """Skew-shape SYT counts by three mutually independent methods.
 
 * ``skew_syt_brute``  -- growth paths between the inner and outer shape,
-  counted by one level-by-level walk down Young's lattice,
+  counted by one level-by-level walk down Young's lattice (``walk_down``),
 * ``skew_syt_det``    -- the classical factorial determinant, built as the
   beta-set falling-factorial matrix and eliminated from its low-degree
   corner,
@@ -10,12 +10,8 @@
 The three agree on every valid input; the test suite asserts this, and
 higher layers pick whichever is cheapest for their regime.  ``routes()`` is
 the one list of them, by name, in the order the CLI's ``--method all`` runs
-them.  ``sum_skew_over_inner`` reads every inner weight's sum from one walk
-down from alpha, so it runs no determinant.  ``containment.N_direct`` runs
-one determinant per shape and takes each in the orientation with fewer
-rows, since ``f^(lam/alpha) = f^(lam'/alpha')``; ``skew_syt_det`` itself
-never conjugates, so comparing it with its value on the conjugate shape
-still compares two computations.
+them.  ``skew_syt_det`` never conjugates, so comparing it with its value on
+the conjugate shape compares two computations.
 """
 
 from __future__ import annotations
@@ -24,20 +20,14 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import factorial, perm
 
-from .characters import character, syt_count
+from .characters import character
 from .exact import IntegralityError, as_integer, integer_det
-from .partitions import (
-    Partition,
-    SkewShape,
-    centralizer_order,
-    partitions_of,
-    validate_partition,
-)
+from .partitions import Partition, SkewShape, centralizer_order, partitions_of
 
 BRUTE_FORCE_CELL_CAP = 25
 
 
-def _walk_down(top: Partition, floor: Partition) -> Iterator[dict[Partition, int]]:
+def walk_down(top: Partition, floor: Partition) -> Iterator[dict[Partition, int]]:
     """Walk down Young's lattice from ``top`` to the weight of ``floor``.
 
     Yields one level per weight, from ``|top|`` down to ``|floor|``: each
@@ -80,7 +70,7 @@ def skew_syt_brute(shape: SkewShape) -> int:
             f"brute-force enumeration capped at {BRUTE_FORCE_CELL_CAP} cells; "
             "use skew_syt_det or skew_syt_char"
         )
-    for level in _walk_down(shape.outer, shape.inner):
+    for level in walk_down(shape.outer, shape.inner):
         pass
     return level[shape.inner]
 
@@ -102,8 +92,6 @@ def skew_syt_det(shape: SkewShape) -> int:
     """
     lam, alpha = shape.outer, shape.inner
     ell = len(lam)
-    if ell == 0:
-        return 1
     padded = alpha + (0,) * (ell - len(alpha))
     a = [lam[i] + ell - 1 - i for i in reversed(range(ell))]
     b = [padded[j] + ell - 1 - j for j in reversed(range(ell))]
@@ -126,15 +114,11 @@ def skew_syt_char(shape: SkewShape) -> int:
     n, k = sum(lam), sum(alpha)
     total = Fraction(0)
     for nu in partitions_of(k):
-        extended = tuple(sorted(nu + (1,) * (n - k), reverse=True))
         total += Fraction(
-            character(lam, extended) * character(alpha, nu),
+            character(lam, nu + (1,) * (n - k)) * character(alpha, nu),
             centralizer_order(nu),
         )
-    count = as_integer(total, f"character count for {lam}/{alpha}")
-    if count < 0:
-        raise IntegralityError(f"character count for {lam}/{alpha} is negative")
-    return count
+    return as_integer(total, f"character count for {lam}/{alpha}")
 
 
 def routes() -> dict[str, Callable[[SkewShape], int]]:
@@ -143,35 +127,3 @@ def routes() -> dict[str, Callable[[SkewShape], int]]:
     Built on every call, so a route rebound on this module is what runs.
     """
     return {"brute": skew_syt_brute, "det": skew_syt_det, "char": skew_syt_char}
-
-
-def _det_fewer_rows(shape: SkewShape) -> int:
-    """skew_syt_det on shape or on its conjugate, whichever has fewer rows.
-
-    The determinant's dimension is the outer shape's length, and transposing
-    every tableau gives f^(lam/alpha) = f^(lam'/alpha').
-    """
-    outer = shape.outer
-    if outer and len(outer) > outer[0]:
-        shape = shape.conjugate()
-    return skew_syt_det(shape)
-
-
-def _inner_sums(alpha: Partition) -> list[int]:
-    """Entry m is the sum of f^(alpha/mu) over all mu of weight m, for every m.
-
-    One downward walk from alpha to the empty shape: the level of weight m
-    holds every mu of weight m inside alpha, with f^(alpha/mu) paths each.
-    """
-    alpha = validate_partition(alpha)
-    sums = [sum(level.values()) for level in _walk_down(alpha, ())]
-    sums.reverse()
-    return sums
-
-
-def sum_skew_over_inner(alpha: Partition, m: int) -> int:
-    """Sum of f^(alpha/mu) over all mu of weight m; mu not inside alpha add 0."""
-    sums = _inner_sums(alpha)
-    if not 0 <= m < len(sums):
-        raise ValueError("m must lie between 0 and |alpha|")
-    return sums[m]

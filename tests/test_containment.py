@@ -214,7 +214,7 @@ def test_per_shape_loops_take_the_orientation_with_fewer_rows(monkeypatch):
         outers.append(shape.outer)
         return skew_syt_det(shape)
 
-    monkeypatch.setattr(skew_count, "skew_syt_det", recording_det)
+    monkeypatch.setattr(containment, "skew_syt_det", recording_det)
     assert N_direct(12, (2, 1, 1)) == N_expansion(12, (2, 1, 1))
     assert outers and all(len(lam) <= lam[0] for lam in outers)
 
@@ -223,6 +223,7 @@ def test_binomial_route_runs_no_determinant(monkeypatch):
     def refuse(*args):
         raise AssertionError("the binomial route ran a determinant")
 
+    monkeypatch.setattr(containment, "skew_syt_det", refuse)
     monkeypatch.setattr(skew_count, "skew_syt_det", refuse)
     monkeypatch.setattr(skew_count, "integer_det", refuse)
     assert N_binomial(12, (2, 1, 1, 1)) == N_expansion(12, (2, 1, 1, 1))
@@ -231,10 +232,32 @@ def test_binomial_route_runs_no_determinant(monkeypatch):
             assert N_binomial(n, alpha) == N_expansion(n, alpha), (n, alpha)
 
 
+def test_direct_route_runs_no_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the direct route walked Young's lattice")
+
+    monkeypatch.setattr(containment, "walk_down", refuse)
+    monkeypatch.setattr(skew_count, "walk_down", refuse)
+    for alpha in [(2, 1, 1), (3, 2), (1,) * 4, (4,)]:
+        assert N_direct(12, alpha) == N_expansion(12, alpha), alpha
+
+
 @pytest.mark.parametrize("alpha", [(1, 2), (0,), (2, 0), (1, -1)])
 def test_binomial_rejects_an_invalid_alpha(alpha):
     with pytest.raises(ValueError):
         N_binomial(5, alpha)
+
+
+@pytest.mark.parametrize("route", ["direct", "expansion", "binomial"])
+@pytest.mark.parametrize("alpha", [(), (1,), (2, 1)])
+def test_every_route_rejects_a_negative_n(route, alpha):
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        containment.routes()[route](-1, alpha)
+
+
+def test_probability_rejects_a_negative_n():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        containment_probability(-1, (2, 1))
 
 
 @pytest.mark.parametrize("route", ["direct", "expansion", "binomial"])

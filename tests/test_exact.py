@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from oracles import leibniz_det
-from skewtab.exact import integer_det
+from skewtab.exact import IntegralityError, as_integer, integer_det
 
 
 def random_matrix(rng, n, low=-9, high=9):
@@ -39,3 +40,21 @@ def test_integer_det_matches_leibniz_on_random_matrices(n):
 def test_integer_det_matches_leibniz_on_edge_cases(matrix):
     assert integer_det(matrix) == leibniz_det(matrix)
 
+
+def test_as_integer_returns_a_count():
+    assert as_integer(Fraction(6, 2), "count") == 3
+    assert as_integer(0, "count") == 0
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        (Fraction(-3), "expected a nonnegative count"),
+        (Fraction(-6, 2), "expected a nonnegative count"),
+        (-1, "expected a nonnegative count"),
+        (Fraction(1, 2), "expected an integer"),
+    ],
+)
+def test_as_integer_rejects_what_is_not_a_count(value, reason):
+    with pytest.raises(IntegralityError, match=reason):
+        as_integer(value, "count")

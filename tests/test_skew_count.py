@@ -17,7 +17,7 @@ from skewtab.skew_count import (
     skew_syt_brute,
     skew_syt_char,
     skew_syt_det,
-    sum_skew_over_inner,
+    walk_down,
 )
 
 
@@ -203,28 +203,24 @@ def test_row_strip_ratio_identity():
         assert ratio == Fraction(3 * (m - 1), 2 * (2 * m - 1))
 
 
-def test_sum_skew_over_inner():
-    assert sum_skew_over_inner((2, 1), 3) == 1
-    assert sum_skew_over_inner((2, 1), 0) == 2
-    assert sum_skew_over_inner((2, 1), 1) == 2
-    assert sum_skew_over_inner((2, 1), 2) == 2
-    with pytest.raises(ValueError):
-        sum_skew_over_inner((2, 1), 4)
+def level_sums(alpha):
+    """Entry m: the sum of f^(alpha/mu) over mu of weight m, read from one walk."""
+    return [sum(level.values()) for level in walk_down(alpha, ())][::-1]
 
 
-def test_sum_skew_over_inner_empty_alpha():
-    assert sum_skew_over_inner((), 0) == 1
+def test_walk_down_level_sums():
+    # one level per weight 0..3: {()}, {(1,)}, {(2,), (1, 1)}, {(2, 1)}
+    assert level_sums((2, 1)) == [2, 2, 2, 1]
 
 
-def test_sum_skew_over_inner_rejects_an_invalid_alpha():
-    with pytest.raises(ValueError):
-        sum_skew_over_inner((1, 2), 1)
-    with pytest.raises(ValueError):
-        sum_skew_over_inner((0,), 0)
+def test_walk_down_from_the_empty_shape():
+    assert list(walk_down((), ())) == [{(): 1}]
 
 
-def test_sum_skew_over_inner_against_filtering_every_partition():
+def test_walk_down_level_sums_against_filtering_every_partition():
     for k in range(11):
         for alpha in partitions_of(k):
+            sums = level_sums(alpha)
+            assert len(sums) == k + 1, alpha
             for m in range(k + 1):
-                assert sum_skew_over_inner(alpha, m) == filtered_inner_sum(alpha, m), (alpha, m)
+                assert sums[m] == filtered_inner_sum(alpha, m), (alpha, m)
