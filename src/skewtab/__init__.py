@@ -52,10 +52,9 @@ from .asymptotics import (
     biane_estimate,
     bulk_mass,
     containment_probability_estimate,
-    mw_involutions_estimate,
+    exp_estimate,
     mw_log_involutions_estimate,
     mw_log_shifted_estimate,
-    mw_shifted_estimate,
     power_sum,
     rectangle_factorization,
     relative_error,

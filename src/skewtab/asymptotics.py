@@ -82,12 +82,6 @@ def mw_log_involutions_estimate(n: int, order: int = 2) -> float:
     return log_lead + math.log(corr)
 
 
-def mw_involutions_estimate(n: int, order: int = 2) -> float:
-    """Involution-number estimate; inf when the value exceeds float range."""
-    log_value = mw_log_involutions_estimate(n, order)
-    return math.inf if log_value > _LOG_FLOAT_MAX else math.exp(log_value)
-
-
 def mw_log_shifted_estimate(n: int, j: int) -> float:
     """Natural log of the t_{n-j} estimate written in terms of n.
 
@@ -107,8 +101,8 @@ def mw_log_shifted_estimate(n: int, j: int) -> float:
     return log_lead + math.log(corr)
 
 
-def mw_shifted_estimate(n: int, j: int) -> float:
-    log_value = mw_log_shifted_estimate(n, j)
+def exp_estimate(log_value: float) -> float:
+    """The float exp(log_value) of a log estimate; inf beyond float range."""
     return math.inf if log_value > _LOG_FLOAT_MAX else math.exp(log_value)
 
 

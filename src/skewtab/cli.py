@@ -179,12 +179,13 @@ def _cmd_table(args) -> int:
     return _report(args, inputs, {"rows": rows}, all_match, lines)
 
 
-def _asym_t(index: int, log_est: float, estimate: float, label: str) -> tuple[dict, list[str]]:
-    """Compare an estimate of t_index with the exact t_index.
+def _asym_t(index: int, log_est: float, label: str) -> tuple[dict, list[str]]:
+    """Compare a log estimate of t_index with the exact t_index.
 
-    The estimate comes in already computed, so arguments that its estimator
+    The log estimate comes in already computed, so arguments that its estimator
     rejects never build the table of t up to ``index``.
     """
+    estimate = asymptotics.exp_estimate(log_est)
     exact = sequences.involutions(index)
     rel = asymptotics.relative_error(log_est, exact)
     results = {"estimate": estimate, "exact": _fmt_int(exact), "rel_err": rel}
@@ -248,13 +249,11 @@ _ASYM = {
     "tn": lambda args: _asym_t(
         args.n,
         asymptotics.mw_log_involutions_estimate(args.n, args.order),
-        asymptotics.mw_involutions_estimate(args.n, args.order),
         f"t({args.n}) estimate (order {args.order})",
     ),
     "shift": lambda args: _asym_t(
         args.n - args.m,
         asymptotics.mw_log_shifted_estimate(args.n, args.m),
-        asymptotics.mw_shifted_estimate(args.n, args.m),
         f"t({args.n}-{args.m}) estimate",
     ),
     "prob": _asym_prob,

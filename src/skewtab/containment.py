@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
 from .characters import character, syt_count
@@ -153,7 +154,9 @@ def routes() -> dict[str, Callable[[int, Partition], int]]:
 
 
 def N_closed_form(n: int, alpha: Partition) -> int:
-    """Golden closed form for |alpha| <= 5; zero for n < |alpha|."""
+    """Golden closed form for |alpha| <= 5; zero for 0 <= n < |alpha|."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if alpha not in CLOSED_FORMS:
         raise ValueError(f"no closed form on record for {alpha}")
     if n < sum(alpha):
@@ -196,12 +199,7 @@ def generating_poly_check(n: int, max_k: int) -> bool:
     """True iff sum_k N(n+k; k) x**k matches a_poly(n) / (1 - x) up to max_k."""
     if n < 0 or max_k < n:
         raise ValueError("need max_k >= n >= 0")
-    coeffs = a_poly(n)
-    partial_sums = []
-    running = 0
-    for c in coeffs:
-        running += c
-        partial_sums.append(running)
+    partial_sums = list(accumulate(a_poly(n)))
     return all(
         N_row(n + k, k) == partial_sums[min(k, n)] for k in range(max_k + 1)
     )

@@ -3,27 +3,39 @@
 Four memoized families live here:
 
 * ``involutions(n)`` -- t_n, the involution numbers (total SYT with n cells),
-* ``q_coeff(j)``     -- coefficients of exp(-x - x**2/2) / (1 - x); j! * q_j
-  counts degree-j permutations with every cycle of length >= 3,
+* ``q_coeff(j)``     -- coefficients q_j = d_j / j! of exp(-x - x**2/2) / (1 - x),
+  where d_j counts degree-j permutations with every cycle of length >= 3,
 * ``b_stable(n)``    -- coefficients of the EGF exp(u**2/2 + 2u); the stable
   value of the single-row containment count once the row is long enough,
 * ``a_poly(n)``      -- integer polynomials with A_0 = 1 and
   A_{n+1} = A_n' + (x+1) A_n, the numerators of the single-row generating
   functions sum_k N(n+k; k) x**k = A_n(x) / (1-x).
 
-Memo tables are module-level lists that only ever grow; appends are
-GIL-serialized, so concurrent readers are safe in CPython.
+Each family is an integer recurrence over a module-level list that only
+ever grows, and ``_grow`` is the one place a list is extended; a cached
+value is a plain list index.  Appends are GIL-serialized, so concurrent
+readers are safe in CPython.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
+from math import factorial
 
 _t: list[int] = [1, 1]
-_exp_terms: list[Fraction] = [Fraction(1)]  # series for exp(-x - x**2/2)
-_q: list[Fraction] = [Fraction(1)]
+_d: list[int] = [1, 0, 0]  # d_j = j! q_j
 _b: list[int] = [1, 2]
 _a: list[tuple[int, ...]] = [(1,)]
+
+
+def _grow(table: list, n: int, step: Callable[[list, int], object]):
+    """Append ``step(table, m)`` for m = len(table), ... until table[n] exists."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    while len(table) <= n:
+        table.append(step(table, len(table)))
+    return table[n]
 
 
 def involutions(n: int) -> int:
@@ -33,27 +45,20 @@ def involutions(n: int) -> int:
     """
     if n < 0:
         return 0
-    while len(_t) <= n:
-        m = len(_t)
-        _t.append(_t[m - 1] + (m - 1) * _t[m - 2])
-    return _t[n]
+    if n < len(_t):
+        return _t[n]
+    return _grow(_t, n, lambda t, m: t[m - 1] + (m - 1) * t[m - 2])
 
 
 def q_coeff(j: int) -> Fraction:
     """Coefficient of x**j in exp(-x - x**2/2) / (1 - x), exact.
 
-    The factor 1/(1-x) turns the exponential's coefficients into partial
-    sums; j! * q_j is a nonnegative integer (a permutation count).
+    j! q_j = d_j counts the permutations with no cycle shorter than 3, and
+    d_j = (j-1) (d_{j-1} + (j-2) d_{j-3}).
     """
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    while len(_q) <= j:
-        m = len(_exp_terms)
-        # E'(x) = (-1 - x) E(x)  =>  m E_m = -E_{m-1} - E_{m-2}
-        prev2 = _exp_terms[m - 2] if m >= 2 else Fraction(0)
-        _exp_terms.append((-_exp_terms[m - 1] - prev2) / m)
-        _q.append(_q[-1] + _exp_terms[-1])
-    return _q[j]
+    if not 0 <= j < len(_d):
+        _grow(_d, j, lambda d, m: (m - 1) * (d[m - 1] + (m - 2) * d[m - 3]))
+    return Fraction(_d[j], factorial(j))
 
 
 def b_stable(n: int) -> int:
@@ -62,12 +67,15 @@ def b_stable(n: int) -> int:
     Satisfies b_{n+1} = 2 b_n + n b_{n-1}; equals the count of (n+k)-cell
     SYT containing a fixed single-row k-cell tableau whenever n <= k.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    while len(_b) <= n:
-        m = len(_b)
-        _b.append(2 * _b[m - 1] + (m - 1) * _b[m - 2])
-    return _b[n]
+    if 0 <= n < len(_b):
+        return _b[n]
+    return _grow(_b, n, lambda b, m: 2 * b[m - 1] + (m - 1) * b[m - 2])
+
+
+def _next_a(a: list[tuple[int, ...]], m: int) -> tuple[int, ...]:
+    # coefficient i of A_m is (i+1) c_{i+1} + c_i + c_{i-1} over A_{m-1} = sum c_i x**i
+    c = (0, *a[m - 1], 0, 0)  # c_i sits at c[i + 1]
+    return tuple((i + 1) * c[i + 2] + c[i + 1] + c[i] for i in range(m + 1))
 
 
 def a_poly(n: int) -> tuple[int, ...]:
@@ -75,19 +83,6 @@ def a_poly(n: int) -> tuple[int, ...]:
 
     A_0 = 1 and A_{n+1} = A_n' + (x+1) A_n, so A_n is monic of degree n.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    while len(_a) <= n:
-        prev = _a[-1]
-        deriv = tuple((i + 1) * c for i, c in enumerate(prev[1:]))
-        shifted = (0,) + prev  # x * A
-        out = []
-        for i in range(len(prev) + 1):
-            c = shifted[i]
-            if i < len(prev):
-                c += prev[i]
-            if i < len(deriv):
-                c += deriv[i]
-            out.append(c)
-        _a.append(tuple(out))
-    return _a[n]
+    if 0 <= n < len(_a):
+        return _a[n]
+    return _grow(_a, n, _next_a)

@@ -11,7 +11,7 @@ from skewtab.asymptotics import (
     biane_estimate,
     bulk_mass,
     containment_probability_estimate,
-    mw_involutions_estimate,
+    exp_estimate,
     mw_log_involutions_estimate,
     mw_log_shifted_estimate,
     power_sum,
@@ -78,7 +78,14 @@ def random_fraction(rng):
 # ------------------------------------------------------- involution series
 
 def test_mw_leading_term_value():
-    assert mw_involutions_estimate(10, 0) == pytest.approx(8766, abs=1.0)
+    assert exp_estimate(mw_log_involutions_estimate(10, 0)) == pytest.approx(8766, abs=1.0)
+
+
+def test_exp_estimate_is_inf_past_float_range():
+    assert exp_estimate(709.0) == math.exp(709.0)
+    assert exp_estimate(709.0 + 1e-9) == math.inf
+    assert exp_estimate(mw_log_involutions_estimate(295)) < math.inf
+    assert exp_estimate(mw_log_involutions_estimate(296)) == math.inf
 
 
 def test_mw_order2_accuracy():
@@ -184,7 +191,7 @@ def test_mw_domain_errors():
     with pytest.raises(ValueError):
         mw_log_involutions_estimate(0)
     with pytest.raises(ValueError):
-        mw_involutions_estimate(10, 3)
+        mw_log_involutions_estimate(10, 3)
     with pytest.raises(ValueError):
         mw_log_shifted_estimate(10, 11)
 

@@ -248,11 +248,13 @@ def test_binomial_rejects_an_invalid_alpha(alpha):
         N_binomial(5, alpha)
 
 
-@pytest.mark.parametrize("route", ["direct", "expansion", "binomial"])
+@pytest.mark.parametrize("route", ["direct", "expansion", "binomial", "closed_form"])
 @pytest.mark.parametrize("alpha", [(), (1,), (2, 1)])
 def test_every_route_rejects_a_negative_n(route, alpha):
+    # the golden closed form shares the routes' domain
+    counts = {**containment.routes(), "closed_form": N_closed_form}
     with pytest.raises(ValueError, match="n must be nonnegative"):
-        containment.routes()[route](-1, alpha)
+        counts[route](-1, alpha)
 
 
 def test_probability_rejects_a_negative_n():

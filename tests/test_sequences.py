@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, factorial
 
 import pytest
@@ -50,6 +50,17 @@ def egf_quadratic_coefficients(c1, c2, length):
     return coeffs
 
 
+def derivative_recurrence_polys(length):
+    """A_0 = 1 and A_{n+1} = A_n' + (x+1) A_n, built as deriv + shift + self."""
+    polys = [(1,)]
+    for _ in range(1, length):
+        prev = polys[-1]
+        deriv = [(i + 1) * c for i, c in enumerate(prev[1:])] + [0, 0]
+        shifted = [0, *prev]  # x * A
+        polys.append(tuple(d + s + p for d, s, p in zip(deriv, shifted, [*prev, 0])))
+    return polys
+
+
 # ------------------------------------------------------------------ tests
 
 def test_involutions_examples():
@@ -95,6 +106,12 @@ def test_q_coeff_scaled_is_nonnegative_integer():
         assert scaled.denominator == 1 and scaled >= 0
 
 
+def test_q_coeff_is_partial_sums_of_the_exponential_series():
+    exp_terms = egf_quadratic_coefficients(Fraction(-1), Fraction(-1, 2), 150)
+    for j, partial_sum in enumerate(accumulate(exp_terms)):
+        assert q_coeff(j) == partial_sum, j
+
+
 def test_b_stable_examples():
     assert b_stable(0) == 1
     assert b_stable(1) == 2
@@ -103,7 +120,7 @@ def test_b_stable_examples():
 
 
 def test_b_stable_binomial_convolution_of_involutions():
-    for n in range(13):
+    for n in range(60):
         assert b_stable(n) == sum(comb(n, j) * involutions(n - j) for j in range(n + 1))
 
 
@@ -124,6 +141,11 @@ def test_a_poly_is_monic_of_degree_n():
         coeffs = a_poly(n)
         assert len(coeffs) == n + 1
         assert coeffs[-1] == 1
+
+
+def test_a_poly_matches_the_derivative_recurrence():
+    for n, poly in enumerate(derivative_recurrence_polys(61)):
+        assert a_poly(n) == poly, n
 
 
 def test_a_poly_value_at_one_is_stable_count():
