@@ -24,7 +24,7 @@ from math import comb, factorial, lcm, perm, prod
 
 from .characters import character, syt_count, transposition_character
 from .containment import t_shift_coeff
-from .exact import integer_det
+from .exact import exact_div, integer_det
 from .partitions import (
     Partition,
     centralizer_order,
@@ -177,7 +177,7 @@ def _window_rows_sum(n: int, ell: int, lo: int, hi: int) -> int:
     values rows, ..., 1 sum to T = rows(rows + 1)/2, their multinomial times
     their own differences is T!/rows!, and each placed beta c contributes
     prod_{v=1..rows} (c - v) = perm(c - 1, rows).  The leaf products are
-    summed and N!/n! is divided out once, exactly.
+    summed and N!/n! is divided out once, checked by ``exact_div``.
     """
     big_n = n + ell * (ell - 1) // 2
     total = 0
@@ -208,19 +208,17 @@ def _window_rows_sum(n: int, ell: int, lo: int, hi: int) -> int:
                     weight * comb(beta_left, b) * prod(c - b for c in betas),
                 )
             )
-    count, rem = divmod(total, prod(range(n + 1, big_n + 1)))
-    assert rem == 0, "N!/n! must divide the summed beta-set products"
-    return count
+    return exact_div(total, prod(range(n + 1, big_n + 1)), "bulk rows of n=%d, ell=%d", n, ell)
 
 
 def bulk_mass(n: int, eps) -> Fraction:
     """Exact fraction of all n-cell SYT whose shape lies in the bulk window.
 
     One beta-set walk per length ell >= 1 in the window, over the window's
-    own members (``_window_rows_sum``), with one asserted division per
-    length; a member whose remaining rows are all 1 is closed in one step,
-    not one frame per row.  Nothing is sized by the window's upper bound,
-    which can be huge for large eps.
+    own members (``_window_rows_sum``), with one division per length
+    checked by ``exact_div``; a member whose remaining rows are all 1 is
+    closed in one step, not one frame per row.  Nothing is sized by the
+    window's upper bound, which can be huge for large eps.
     """
     lo, hi = _bulk_window(n, eps)
     total = 0

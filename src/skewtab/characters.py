@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
+from .exact import exact_div
 from .partitions import Partition, conjugate, validate_partition
 
 
@@ -43,9 +44,7 @@ def syt_count(lam: Partition) -> int:
         for i in range(len(lam))
         for j in range(lam[i])
     )
-    count, rem = divmod(factorial(n), hooks)
-    assert rem == 0, "hook product must divide n!"
-    return count
+    return exact_div(factorial(n), hooks, "hook lengths of %s", lam)
 
 
 def _from_beta(beta: list[int]) -> Partition:

@@ -16,7 +16,8 @@ and ``mass`` (bulk mass).
 
 Exit codes: 0 ok (all requested agreement flags true), 1 disagreement,
 2 parse error, 3 invalid skew shape, 4 internal integrality violation,
-5 any other internal error.
+5 any other internal error, 141 (128 + SIGPIPE) the reader closed stdout
+before the output was written, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import decimal
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -44,6 +46,7 @@ EXIT_PARSE = 2
 EXIT_INVALID_SHAPE = 3
 EXIT_INTEGRALITY = 4
 EXIT_INTERNAL = 5
+EXIT_CLOSED_OUTPUT = 141
 
 
 def _fmt_int(x: int) -> str:
@@ -318,7 +321,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except InvalidSkewShapeError as exc:
         print(f"invalid skew shape: {exc}", file=sys.stderr)
         return EXIT_INVALID_SHAPE
@@ -328,6 +333,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_OUTPUT
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

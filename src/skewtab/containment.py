@@ -29,7 +29,7 @@ from itertools import accumulate
 from math import comb, factorial
 
 from .characters import character, syt_count
-from .exact import IntegralityError, as_integer
+from .exact import IntegralityError, exact_div
 from .partitions import (
     Partition,
     SkewShape,
@@ -122,7 +122,7 @@ def N_expansion(n: int, alpha: Partition) -> int:
         coeff = t_shift_coeff(j, alpha)
         if coeff:
             total += coeff * involutions(n - j)
-    return as_integer(total, f"N({n}; {alpha}) expansion")
+    return exact_div(total.numerator, total.denominator, "N(%d; %s) expansion", n, alpha)
 
 
 def N_binomial(n_plus_k: int, alpha: Partition) -> int:
@@ -162,10 +162,8 @@ def N_closed_form(n: int, alpha: Partition) -> int:
     if n < sum(alpha):
         return 0
     den, numerators = CLOSED_FORMS[alpha]
-    total = Fraction(
-        sum(num * involutions(n - shift) for shift, num in numerators.items()), den
-    )
-    return as_integer(total, f"closed form for N({n}; {alpha})")
+    total = sum(num * involutions(n - shift) for shift, num in numerators.items())
+    return exact_div(total, den, "closed form for N(%d; %s)", n, alpha)
 
 
 def containment_probability(n: int, alpha: Partition) -> Fraction:

@@ -1,26 +1,29 @@
 """Exact-arithmetic helpers shared by the counting modules.
 
 Every formula in this package is evaluated in integers or rationals; any
-division that is supposed to cancel is checked, never assumed.  A failed
-check raises IntegralityError, which the CLI maps to its own exit code.
+division that is supposed to cancel goes through ``exact_div``, the one
+integrality check in the package.  A failed check raises IntegralityError,
+which the CLI maps to its own exit code.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class IntegralityError(ArithmeticError):
     """An exact computation produced a non-integer or failed a cross-check."""
 
 
-def as_integer(value: Fraction | int, context: str) -> int:
-    """Assert that an exact rational is a count, a nonnegative integer, and return it."""
-    if value.denominator != 1:
-        raise IntegralityError(f"{context}: expected an integer, got {value}")
-    if value < 0:
-        raise IntegralityError(f"{context}: expected a nonnegative count, got {value}")
-    return value.numerator
+def exact_div(numerator: int, denominator: int, context: str, *args) -> int:
+    """numerator / denominator as a count; IntegralityError if inexact or negative.
+
+    The message, ``context % args``, is built only on failure and renders no operand.
+    """
+    count, rem = divmod(numerator, denominator)
+    if rem:
+        raise IntegralityError(f"{context % args}: expected an integer")
+    if count < 0:
+        raise IntegralityError(f"{context % args}: expected a nonnegative count")
+    return count
 
 
 def integer_det(matrix: list[list[int]]) -> int:

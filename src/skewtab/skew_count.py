@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, perm, prod
 
 from .characters import character
-from .exact import IntegralityError, as_integer, integer_det
+from .exact import exact_div, integer_det
 from .partitions import Partition, SkewShape, centralizer_order, partitions_of
 
 BRUTE_FORCE_CELL_CAP = 25
@@ -88,24 +88,14 @@ def skew_syt_det(shape: SkewShape) -> int:
     eliminates the columns of lowest degree first (1, a_i, ... when alpha
     is shorter than lam), so its intermediate minors stay Vandermonde-sized
     instead of carrying the largest falling factorials through every step.
-    The final division by prod(a_i!) is checked exact.
+    The final division by prod(a_i!) is checked by ``exact_div``.
     """
     lam, alpha = shape.outer, shape.inner
-    ell = len(lam)
-    padded = alpha + (0,) * (ell - len(alpha))
-    a = [lam[i] + ell - 1 - i for i in reversed(range(ell))]
-    b = [padded[j] + ell - 1 - j for j in reversed(range(ell))]
-    det = integer_det([[perm(ai, bj) for bj in b] for ai in a])
-    numerator = factorial(shape.size) * det
-    denominator = 1
-    for ai in a:
-        denominator *= factorial(ai)
-    count, rem = divmod(numerator, denominator)
-    if rem != 0 or count < 0:
-        raise IntegralityError(
-            f"determinant count for {lam}/{alpha} is not a nonnegative integer"
-        )
-    return count
+    padded = alpha + (0,) * (len(lam) - len(alpha))
+    a = [p + i for i, p in enumerate(reversed(lam))]
+    b = [p + j for j, p in enumerate(reversed(padded))]
+    numerator = factorial(shape.size) * integer_det([[perm(ai, bj) for bj in b] for ai in a])
+    return exact_div(numerator, prod(map(factorial, a)), "determinant count for %s/%s", lam, alpha)
 
 
 def skew_syt_char(shape: SkewShape) -> int:
@@ -118,7 +108,7 @@ def skew_syt_char(shape: SkewShape) -> int:
             character(lam, nu + (1,) * (n - k)) * character(alpha, nu),
             centralizer_order(nu),
         )
-    return as_integer(total, f"character count for {lam}/{alpha}")
+    return exact_div(total.numerator, total.denominator, "character count for %s/%s", lam, alpha)
 
 
 def routes() -> dict[str, Callable[[SkewShape], int]]:

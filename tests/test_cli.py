@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from skewtab import cli, containment, sequences, skew_count
+import skewtab
+from skewtab import asymptotics, characters, cli, containment, sequences, skew_count
 from skewtab.containment import containment_probability
 from skewtab.exact import IntegralityError
 from skewtab.partitions import parse_partition
@@ -314,6 +319,81 @@ def test_integrality_violation_exit_4(capsys, monkeypatch):
     code, out, err = run(capsys, ["contain", "--n", "4", "--alpha", "2,1"])
     assert code == 4
     assert "integrality" in err
+
+
+@pytest.mark.parametrize(
+    "module, name, value, argv",
+    [
+        pytest.param(
+            characters,
+            "factorial",
+            lambda n: factorial(n) + 1,
+            ["skew", "--outer", "3,1", "--method", "char"],
+            id="hook-lengths",
+        ),
+        pytest.param(
+            skew_count,
+            "factorial",
+            lambda n: factorial(n) + 1,
+            ["skew", "--outer", "3,1", "--method", "det"],
+            id="determinant",
+        ),
+        pytest.param(
+            asymptotics,
+            "comb",
+            lambda n, k: comb(n, k) + 1,
+            ["asym", "mass", "--n", "30"],
+            id="bulk-mass",
+        ),
+        pytest.param(
+            containment,
+            "t_shift_coeff",
+            lambda j, alpha: Fraction(1, 7) if j == 0 else Fraction(0),
+            ["contain", "--n", "6", "--alpha", "2,1", "--method", "expansion"],
+            id="expansion",
+        ),
+        pytest.param(
+            containment,
+            "CLOSED_FORMS",
+            {(1,): (3, {0: 1})},
+            ["table", "--max-k", "1", "--n-max", "2"],
+            id="closed-form",
+        ),
+    ],
+)
+def test_every_failed_exact_division_exits_4(capsys, monkeypatch, module, name, value, argv):
+    # each case makes one division that must cancel come out inexact
+    characters.clear_character_cache()
+    monkeypatch.setattr(module, name, value)
+    try:
+        code, out, err = run(capsys, argv)
+    finally:
+        characters.clear_character_cache()
+    assert code == cli.EXIT_INTEGRALITY == 4
+    assert out == ""
+    assert err.startswith("internal integrality violation:"), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["skew", "--outer", "3,1", "--json"], id="flushed-at-exit"),
+        # about 32 KB, past the stream's buffer, so print itself writes
+        pytest.param(["table", "--json"], id="written-by-print"),
+    ],
+)
+def test_a_closed_stdout_exits_141_quietly(argv):
+    src = os.path.dirname(os.path.dirname(skewtab.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "skewtab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == cli.EXIT_CLOSED_OUTPUT == 141
+    assert err == b""
 
 
 def test_internal_error_exit_5(capsys, monkeypatch):

@@ -1,10 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from oracles import leibniz_det
-from skewtab.exact import IntegralityError, as_integer, integer_det
+from skewtab.exact import IntegralityError, exact_div, integer_det
 
 
 def random_matrix(rng, n, low=-9, high=9):
@@ -41,20 +40,28 @@ def test_integer_det_matches_leibniz_on_edge_cases(matrix):
     assert integer_det(matrix) == leibniz_det(matrix)
 
 
-def test_as_integer_returns_a_count():
-    assert as_integer(Fraction(6, 2), "count") == 3
-    assert as_integer(0, "count") == 0
+def test_exact_div_returns_a_count():
+    assert exact_div(6, 2, "count") == 3
+    assert exact_div(0, 1, "count") == 0
 
 
 @pytest.mark.parametrize(
-    "value, reason",
+    "numerator, denominator, reason",
     [
-        (Fraction(-3), "expected a nonnegative count"),
-        (Fraction(-6, 2), "expected a nonnegative count"),
-        (-1, "expected a nonnegative count"),
-        (Fraction(1, 2), "expected an integer"),
+        (-3, 1, "expected a nonnegative count"),
+        (-6, 2, "expected a nonnegative count"),
+        (-1, 1, "expected a nonnegative count"),
+        (1, 2, "expected an integer"),
     ],
 )
-def test_as_integer_rejects_what_is_not_a_count(value, reason):
+def test_exact_div_rejects_what_is_not_a_count(numerator, denominator, reason):
     with pytest.raises(IntegralityError, match=reason):
-        as_integer(value, "count")
+        exact_div(numerator, denominator, "count")
+
+
+def test_exact_div_message_renders_no_operand():
+    # 5,000 digits, past the int-to-str limit: rendering it would raise ValueError
+    numerator = 10**4999 + 1
+    with pytest.raises(IntegralityError) as caught:
+        exact_div(numerator, 2, "sum for %s at n=%d", (2, 1), 7)
+    assert str(caught.value) == "sum for (2, 1) at n=7: expected an integer"
