@@ -11,8 +11,11 @@ p_{nu_j}(b)).
 ``bulk_mass`` sums f^lam over the shapes whose first part and length lie
 in the strict window (2 - eps) sqrt(n) < x < (2 + eps) sqrt(n) without
 listing them; the list itself is a test oracle that reads the same
-``_bulk_window``.  The growth constant C_3 of a rescaled limit shape is
-passed to ``biane_estimate`` directly.
+``_bulk_window``.  The window is closed under conjugation and
+f^lam = f^lam', so only the shapes with lam_1 >= len(lam) are walked: their
+sum is counted twice, and the sum over lam_1 = len(lam) is taken back once.
+The growth constant C_3 of a rescaled limit shape is passed to
+``biane_estimate`` directly.
 """
 
 from __future__ import annotations
@@ -214,16 +217,23 @@ def _window_rows_sum(n: int, ell: int, lo: int, hi: int) -> int:
 def bulk_mass(n: int, eps) -> Fraction:
     """Exact fraction of all n-cell SYT whose shape lies in the bulk window.
 
-    One beta-set walk per length ell >= 1 in the window, over the window's
-    own members (``_window_rows_sum``), with one division per length
-    checked by ``exact_div``; a member whose remaining rows are all 1 is
-    closed in one step, not one frame per row.  Nothing is sized by the
-    window's upper bound, which can be huge for large eps.
+    The window W is closed under conjugation and f^lam = f^lam', so the
+    shapes with lam_1 < len(lam) count the same as those with
+    lam_1 > len(lam), and
+
+        sum_W f = sum_ell (2 sum_{lam_1 in [ell, hi]} f - sum_{lam_1 = ell} f)
+
+    over the lengths ell in the window, where ell >= lo makes [ell, hi]
+    the first parts of the window at least ell.  Each term is one beta-set
+    walk over the window's own members (``_window_rows_sum``), with one
+    division per walk checked by ``exact_div``; a member whose remaining
+    rows are all 1 is closed in one step, not one frame per row.  Nothing
+    is sized by the window's upper bound, which can be huge for large eps.
     """
     lo, hi = _bulk_window(n, eps)
     total = 0
     for ell in range(lo, min(hi, n) + 1):
-        total += _window_rows_sum(n, ell, lo, hi)
+        total += 2 * _window_rows_sum(n, ell, ell, hi) - _window_rows_sum(n, ell, ell, ell)
     return Fraction(total, involutions(n))
 
 

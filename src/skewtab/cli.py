@@ -96,15 +96,18 @@ def _report(args, inputs: dict, results: dict, agree, lines: list[str]) -> int:
 def _cross_check(args, routes: dict, route_args: tuple, inputs: dict, title: str, summary) -> int:
     """Run the wanted routes, compare them, and emit the record or text lines.
 
-    ``summary(value)`` turns the first route's value into the record's result
-    fields and the text rows printed after the routes' own rows.  Labels are
+    ``summary(value, text)`` turns the first route's value and its rendered
+    digits into the record's result fields and the text rows printed after
+    the routes' own rows.  Each distinct value is rendered once.  Labels are
     padded to the longest route name, whichever routes ran.
     """
     wanted = tuple(routes) if args.method == "all" else (args.method,)
     values = {name: routes[name](*route_args) for name in wanted}
-    agree = len(set(values.values())) == 1
-    fields, rows = summary(next(iter(values.values())))
-    by_method = {name: _fmt_int(v) for name, v in values.items()}
+    texts = {value: _fmt_int(value) for value in set(values.values())}
+    agree = len(texts) == 1
+    by_method = {name: texts[value] for name, value in values.items()}
+    first = next(iter(values))
+    fields, rows = summary(values[first], by_method[first])
     width = max(map(len, routes))
     rows = [*by_method.items(), *rows]
     if args.method == "all":
@@ -122,7 +125,7 @@ def _cmd_skew(args) -> int:
         (shape,),
         {"outer": format_partition(shape.outer), "inner": format_partition(shape.inner)},
         f"f[{args.outer or '()'} / {args.inner or '()'}]",
-        lambda count: ({"count": _fmt_int(count)}, []),
+        lambda count, text: ({"count": text}, []),
     )
 
 
@@ -130,9 +133,9 @@ def _cmd_contain(args) -> int:
     alpha = parse_partition(args.alpha)
     n = args.n
 
-    def summary(count: int) -> tuple[dict, list]:
+    def summary(count: int, text: str) -> tuple[dict, list]:
         prob = _fmt_fraction(Fraction(count, sequences.involutions(n)))
-        return {"N": _fmt_int(count), "P": prob}, [("P", prob)]
+        return {"N": text, "P": prob}, [("P", prob)]
 
     return _cross_check(
         args,

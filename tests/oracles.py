@@ -9,6 +9,10 @@ checks the Schur-sum identity behind the acceptance suite's criterion 12.
 ``bulk_members`` lists the shapes of the bulk window with it; the window
 itself is read from the library's ``_bulk_window``, so the members check
 the runtime window while ``bulk_mass`` never lists them.
+``unfolded_bulk_rows_sum`` is ``bulk_mass``'s numerator before the
+conjugate fold: every length's walk over every first part in the window.
+``super_schur_jacobi_trudi`` evaluates s_alpha(a / -b) as a Jacobi-Trudi
+determinant, with no characters.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterator
 
-from skewtab.asymptotics import _bulk_window, power_sum, schur_value
+from skewtab.asymptotics import _bulk_window, _window_rows_sum, power_sum, schur_value
 from skewtab.partitions import Partition, centralizer_order, partitions_of, square_cycle_type
 
 ORACLE_WEIGHT_CAP = 8
@@ -82,6 +86,55 @@ def bulk_members(n: int, eps) -> list[Partition]:
         for lam in boxed_partitions(n, hi, hi)
         if lam[0] >= lo and len(lam) >= lo
     ]
+
+
+def unfolded_bulk_rows_sum(n: int, eps) -> int:
+    """Sum of f^lam over the bulk window, one walk per length over every
+    first part in the window: bulk_mass(n, eps) * involutions(n) with no
+    conjugate fold."""
+    lo, hi = _bulk_window(n, eps)
+    return sum(_window_rows_sum(n, ell, lo, hi) for ell in range(lo, min(hi, n) + 1))
+
+
+def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    rows = [list(row) for row in matrix]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            ratio = rows[r][col] / rows[col][col]
+            rows[r] = [x - ratio * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def super_schur_jacobi_trudi(alpha: Partition, a, b) -> Fraction:
+    """s_alpha(a / -b) as det[h_{alpha_i - i + j}], where
+    sum_r h_r t^r = prod_j (1 + b_j t) / prod_i (1 - a_i t).
+
+    Shares no code with the power-sum expansion over characters.
+    """
+    ell = len(alpha)
+    if ell == 0:
+        return Fraction(1)
+    top = alpha[0] + ell
+    h = [Fraction(1)] + [Fraction(0)] * top  # truncated after t**top
+    for v in b:  # times (1 + v t)
+        for r in range(top, 0, -1):
+            h[r] += Fraction(v) * h[r - 1]
+    for v in a:  # over (1 - v t)
+        for r in range(1, top + 1):
+            h[r] += Fraction(v) * h[r - 1]
+    return _fraction_det(
+        [[h[d] if d >= 0 else Fraction(0) for d in (alpha[i] - i + j for j in range(ell))]
+         for i in range(ell)]
+    )
 
 
 def character_oracle(lam: Partition, mu: Partition) -> int:

@@ -23,11 +23,16 @@ from skewtab.asymptotics import (
 )
 from skewtab.characters import syt_count
 from skewtab.containment import containment_probability
-from skewtab.partitions import SkewShape, partitions_of
+from skewtab.partitions import SkewShape, conjugate, partitions_of
 from skewtab.sequences import involutions
 from skewtab.skew_count import skew_syt_det
 
-from oracles import bulk_members, schur_sum_identity_check
+from oracles import (
+    bulk_members,
+    schur_sum_identity_check,
+    super_schur_jacobi_trudi,
+    unfolded_bulk_rows_sum,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -292,7 +297,10 @@ def test_bulk_members_match_strict_squares_oracle():
         for eps in BULK_EPS_GRID:
             ok = {x for x in range(1, n + 1) if in_window_oracle(x, n, eps)}
             expected = [lam for lam in everything if lam[0] in ok and len(lam) in ok]
-            assert bulk_members(n, eps) == expected, (n, eps)
+            members = bulk_members(n, eps)
+            assert members == expected, (n, eps)
+            # bulk_mass folds each conjugate pair of members into one walk
+            assert set(map(conjugate, members)) == set(members), (n, eps)
             exact_hits += sum(
                 x * x == (2 + eps) ** 2 * n or (eps < 2 and x * x == (2 - eps) ** 2 * n)
                 for x in range(1, n + 1)
@@ -315,11 +323,19 @@ def test_bulk_window_validation(n, eps):
 
 
 def test_bulk_mass_matches_hook_lengths_over_members():
-    # the hook-length count over the enumerated members is the oracle
+    # the hook-length count over the enumerated members is the oracle, and
+    # so is the walk over every first part in the window with no fold
     for n in range(1, 31):
         for eps in BULK_EPS_GRID:
-            expected = sum(syt_count(lam) for lam in bulk_members(n, eps))
-            assert bulk_mass(n, eps) == Fraction(expected, involutions(n)), (n, eps)
+            total = bulk_mass(n, eps) * involutions(n)
+            assert total == sum(syt_count(lam) for lam in bulk_members(n, eps)), (n, eps)
+            assert total == unfolded_bulk_rows_sum(n, eps), (n, eps)
+
+
+@pytest.mark.parametrize("n", [40, 49])
+def test_bulk_mass_matches_unfolded_rows_sum(n):
+    for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+        assert bulk_mass(n, eps) * involutions(n) == unfolded_bulk_rows_sum(n, eps), eps
 
 
 def box_paths(n, rows, cols):
@@ -405,6 +421,9 @@ BULK_MASS_FROZEN = {
     (49, Fraction(1)): Fraction(
         911543130299573341048685172795647, 923282949749176920997386255385600
     ),
+    (49, Fraction(3, 2)): Fraction(
+        461641345327806526818256134817549, 461641474874588460498693127692800
+    ),
 }
 
 
@@ -463,9 +482,25 @@ def test_super_schur_restricts_to_schur():
             assert super_schur_value(alpha, values, ()) == schur_value(alpha, values)
 
 
-def test_super_schur_conjugation_duality():
-    from skewtab.partitions import conjugate
+def test_super_schur_matches_jacobi_trudi():
+    rng = random.Random(17)
+    shapes = [alpha for k in range(9) for alpha in partitions_of(k)]
 
+    def values():
+        return tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(0, 3))
+        )
+
+    for _ in range(400):
+        alpha, a, b = rng.choice(shapes), values(), values()
+        assert super_schur_value(alpha, a, b) == super_schur_jacobi_trudi(alpha, a, b), (
+            alpha, a, b)
+    for alpha in shapes:
+        a = values()
+        assert super_schur_jacobi_trudi(alpha, a, ()) == schur_value(alpha, a), (alpha, a)
+
+
+def test_super_schur_conjugation_duality():
     rng = random.Random(11)
     for k in range(5):
         for alpha in partitions_of(k):
