@@ -4,16 +4,18 @@ Estimates live in floating point (log-domain where magnitudes explode);
 every comparison against exact data happens on the rational side.  The
 TVK/super-Schur layer is exact rational arithmetic throughout: the limiting
 ratio f^(lam/alpha) / f^lam under row/column frequencies (a; b) is the
-super-Schur value s_alpha(a / -b), computed from its power-sum expansion
-sum over nu of chi^alpha(nu)/z_nu * prod_j (p_{nu_j}(a) + (-1)^(nu_j - 1)
-p_{nu_j}(b)).
+super-Schur value s_alpha(a / -b), computed as the Jacobi-Trudi determinant
+det[h_{alpha_i - i + j}] with sum_r h_r t^r = prod_j (1 + b_j t) /
+prod_i (1 - a_i t).  Its power-sum expansion over the characters
+chi^alpha(nu) is a test oracle, the route that shares no code with it.
 
 ``bulk_mass`` sums f^lam over the shapes whose first part and length lie
 in the strict window (2 - eps) sqrt(n) < x < (2 + eps) sqrt(n) without
 listing them; the list itself is a test oracle that reads the same
 ``_bulk_window``.  The window is closed under conjugation and
-f^lam = f^lam', so only the shapes with lam_1 >= len(lam) are walked: their
-sum is counted twice, and the sum over lam_1 = len(lam) is taken back once.
+f^lam = f^lam', so only the shapes with lam_1 >= len(lam) are walked, each
+once: the sum over lam_1 > len(lam) is counted twice, the sum over
+lam_1 = len(lam) once.
 The growth constant C_3 of a rescaled limit shape is passed to
 ``biane_estimate`` directly.
 """
@@ -25,15 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 
-from .characters import character, syt_count, transposition_character
+from .characters import syt_count, transposition_character
 from .containment import t_shift_coeff
 from .exact import exact_div, integer_det
-from .partitions import (
-    Partition,
-    centralizer_order,
-    conjugate,
-    partitions_of,
-)
+from .partitions import Partition, conjugate
 from .sequences import involutions
 
 _LOG_FLOAT_MAX = 709.0  # beyond this math.exp overflows a double
@@ -221,19 +218,22 @@ def bulk_mass(n: int, eps) -> Fraction:
     shapes with lam_1 < len(lam) count the same as those with
     lam_1 > len(lam), and
 
-        sum_W f = sum_ell (2 sum_{lam_1 in [ell, hi]} f - sum_{lam_1 = ell} f)
+        sum_W f = sum_ell (2 sum_{lam_1 in [ell + 1, hi]} f + sum_{lam_1 = ell} f)
 
-    over the lengths ell in the window, where ell >= lo makes [ell, hi]
-    the first parts of the window at least ell.  Each term is one beta-set
-    walk over the window's own members (``_window_rows_sum``), with one
-    division per walk checked by ``exact_div``; a member whose remaining
-    rows are all 1 is closed in one step, not one frame per row.  Nothing
-    is sized by the window's upper bound, which can be huge for large eps.
+    over the lengths ell in the window, where ell >= lo puts [ell, hi]
+    inside the window.  A shape with ell rows and lam_1 >= ell has at least
+    2 ell - 1 cells, so the lengths stop at (n + 1) // 2.  Each term is one
+    beta-set walk over the window's own members (``_window_rows_sum``), with
+    one division per walk checked by ``exact_div``; the two walks of a
+    length split its first parts, so each member is placed once.  A member
+    whose remaining rows are all 1 is closed in one step, not one frame per
+    row.  Nothing is sized by the window's upper bound, which can be huge
+    for large eps.
     """
     lo, hi = _bulk_window(n, eps)
     total = 0
-    for ell in range(lo, min(hi, n) + 1):
-        total += 2 * _window_rows_sum(n, ell, ell, hi) - _window_rows_sum(n, ell, ell, ell)
+    for ell in range(lo, min(hi, (n + 1) // 2) + 1):
+        total += 2 * _window_rows_sum(n, ell, ell + 1, hi) + _window_rows_sum(n, ell, ell, ell)
     return Fraction(total, involutions(n))
 
 
@@ -245,58 +245,41 @@ def power_sum(r: int, values) -> Fraction:
 
 
 def schur_value(mu: Partition, values) -> Fraction:
-    """Schur polynomial s_mu evaluated at a rational vector.
-
-    Uses the determinant of complete homogeneous sums h_{mu_i - i + j},
-    which is robust for repeated variable values (the bialternant is not).
-    Each row is scaled by the lcm of its denominators, the integer matrix goes
-    to ``integer_det``, and the product of the scales divides it back out.
-    """
-    values = tuple(Fraction(v) for v in values)
-    if not mu:
-        return Fraction(1)
-    if len(mu) > len(values):
-        return Fraction(0)
-    ell = len(mu)
-    max_degree = mu[0] + ell
-    h = [Fraction(1)] + [Fraction(0)] * max_degree
-    for v in values:
-        for r in range(1, max_degree + 1):
-            h[r] += v * h[r - 1]
-    matrix = []
-    scales = 1
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            d = mu[i] - i + j
-            row.append(h[d] if 0 <= d <= max_degree else Fraction(0))
-        scale = lcm(*(x.denominator for x in row))
-        matrix.append([x.numerator * (scale // x.denominator) for x in row])
-        scales *= scale
-    return Fraction(integer_det(matrix), scales)
+    """Schur polynomial s_mu evaluated at a rational vector (no b values)."""
+    return super_schur_value(mu, values, ())
 
 
 def super_schur_value(alpha: Partition, a, b) -> Fraction:
-    """Super-Schur value s_alpha(a / -b) from its power-sum expansion."""
+    """Super-Schur value s_alpha(a / -b) as a Jacobi-Trudi determinant.
+
+    det[h_{alpha_i - i + j}] with sum_r h_r t^r = prod_j (1 + b_j t) /
+    prod_i (1 - a_i t) (Berele-Regev; Macdonald I (3.4)), which is robust for
+    repeated values (the bialternant is not).  s_alpha is homogeneous of
+    degree |alpha|, so every value is scaled by the common denominator D:
+    the h_r and the matrix are integers, ``integer_det`` evaluates it, and
+    D**|alpha| divides the result back out.
+    """
     a = tuple(Fraction(v) for v in a)
     b = tuple(Fraction(v) for v in b)
-    k = sum(alpha)
-    total = Fraction(0)
-    for nu in partitions_of(k):
-        chi = character(alpha, nu)
-        if chi == 0:
-            continue
-        product = Fraction(1)
-        for part in nu:
-            term = power_sum(part, a) if a else Fraction(0)
-            if b:
-                sign = 1 if part % 2 else -1
-                term += sign * power_sum(part, b)
-            product *= term
-            if product == 0:
-                break
-        total += Fraction(chi, centralizer_order(nu)) * product
-    return total
+    if not alpha:
+        return Fraction(1)
+    den = lcm(*(v.denominator for v in a + b))
+    ell = len(alpha)
+    top = alpha[0] + ell - 1
+    h = [1] + [0] * top  # D**r h_r, truncated after t**top
+    for v in b:  # times (1 + v t)
+        c = v.numerator * (den // v.denominator)
+        for r in range(top, 0, -1):
+            h[r] += c * h[r - 1]
+    for v in a:  # over (1 - v t)
+        c = v.numerator * (den // v.denominator)
+        for r in range(1, top + 1):
+            h[r] += c * h[r - 1]
+    matrix = [
+        [h[d] if d >= 0 else 0 for d in range(alpha[i] - i, alpha[i] - i + ell)]
+        for i in range(ell)
+    ]
+    return Fraction(integer_det(matrix), den ** sum(alpha))
 
 
 def rectangle_factorization(

@@ -11,8 +11,10 @@ itself is read from the library's ``_bulk_window``, so the members check
 the runtime window while ``bulk_mass`` never lists them.
 ``unfolded_bulk_rows_sum`` is ``bulk_mass``'s numerator before the
 conjugate fold: every length's walk over every first part in the window.
-``super_schur_jacobi_trudi`` evaluates s_alpha(a / -b) as a Jacobi-Trudi
-determinant, with no characters.
+``super_schur_power_sum`` evaluates s_alpha(a / -b) as
+sum over nu of chi^alpha(nu)/z_nu * prod_j (p_{nu_j}(a) + (-1)^(nu_j - 1)
+p_{nu_j}(b)), with no determinant: the runtime ``super_schur_value`` is the
+Jacobi-Trudi determinant.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from itertools import permutations
 from typing import Iterator
 
 from skewtab.asymptotics import _bulk_window, _window_rows_sum, power_sum, schur_value
+from skewtab.characters import character
 from skewtab.partitions import Partition, centralizer_order, partitions_of, square_cycle_type
 
 ORACLE_WEIGHT_CAP = 8
@@ -96,45 +99,27 @@ def unfolded_bulk_rows_sum(n: int, eps) -> int:
     return sum(_window_rows_sum(n, ell, lo, hi) for ell in range(lo, min(hi, n) + 1))
 
 
-def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by Gaussian elimination over the rationals."""
-    rows = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(len(rows)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, len(rows)):
-            ratio = rows[r][col] / rows[col][col]
-            rows[r] = [x - ratio * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
-def super_schur_jacobi_trudi(alpha: Partition, a, b) -> Fraction:
-    """s_alpha(a / -b) as det[h_{alpha_i - i + j}], where
-    sum_r h_r t^r = prod_j (1 + b_j t) / prod_i (1 - a_i t).
-
-    Shares no code with the power-sum expansion over characters.
-    """
-    ell = len(alpha)
-    if ell == 0:
-        return Fraction(1)
-    top = alpha[0] + ell
-    h = [Fraction(1)] + [Fraction(0)] * top  # truncated after t**top
-    for v in b:  # times (1 + v t)
-        for r in range(top, 0, -1):
-            h[r] += Fraction(v) * h[r - 1]
-    for v in a:  # over (1 - v t)
-        for r in range(1, top + 1):
-            h[r] += Fraction(v) * h[r - 1]
-    return _fraction_det(
-        [[h[d] if d >= 0 else Fraction(0) for d in (alpha[i] - i + j for j in range(ell))]
-         for i in range(ell)]
-    )
+def super_schur_power_sum(alpha: Partition, a, b) -> Fraction:
+    """Super-Schur value s_alpha(a / -b) from its power-sum expansion."""
+    a = tuple(Fraction(v) for v in a)
+    b = tuple(Fraction(v) for v in b)
+    k = sum(alpha)
+    total = Fraction(0)
+    for nu in partitions_of(k):
+        chi = character(alpha, nu)
+        if chi == 0:
+            continue
+        product = Fraction(1)
+        for part in nu:
+            term = power_sum(part, a) if a else Fraction(0)
+            if b:
+                sign = 1 if part % 2 else -1
+                term += sign * power_sum(part, b)
+            product *= term
+            if product == 0:
+                break
+        total += Fraction(chi, centralizer_order(nu)) * product
+    return total
 
 
 def character_oracle(lam: Partition, mu: Partition) -> int:

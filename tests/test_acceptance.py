@@ -45,7 +45,12 @@ from skewtab.partitions import (
 from skewtab.sequences import involutions
 from skewtab.skew_count import skew_syt_brute, skew_syt_char, skew_syt_det
 
-from oracles import bulk_members, character_oracle, schur_sum_identity_check
+from oracles import (
+    bulk_members,
+    character_oracle,
+    schur_sum_identity_check,
+    super_schur_power_sum,
+)
 
 
 @contextmanager
@@ -211,6 +216,7 @@ def test_criterion_11_super_schur_factorization():
             b = tuple(sorted((random_fraction(rng) for _ in range(j)), reverse=True))
             alpha, value = rectangle_factorization(i, j, mu, nu, a, b)
             assert value == super_schur_value(alpha, a, b), (i, j, mu, nu, a, b)
+            assert value == super_schur_power_sum(alpha, a, b), (i, j, mu, nu, a, b)
 
 
 def test_criterion_12_schur_sum_identity():

@@ -30,7 +30,7 @@ from skewtab.skew_count import skew_syt_det
 from oracles import (
     bulk_members,
     schur_sum_identity_check,
-    super_schur_jacobi_trudi,
+    super_schur_power_sum,
     unfolded_bulk_rows_sum,
 )
 
@@ -389,7 +389,11 @@ def test_window_rows_sum_matches_hook_lengths():
         windows = {(1, n), (1, 1), (1, 2), (2, n), (1, n // 2), (3, n // 2),
                    (n // 3 + 1, n - 1), (n // 2, n + 5), (n, n)}
         for ell in range(2, n + 1):
-            for lo, hi in windows:
+            # bulk_mass's own calls: the first parts above ell, up to some hi,
+            # and empty ranges lo = hi + 1, ell == hi among them
+            split = {(ell + 1, hi) for hi in (ell, ell + 1, n // 2, n - 1, n, n + 5)}
+            empty = {(hi + 1, hi) for hi in (1, ell - 1, ell, n // 2, n)}
+            for lo, hi in windows | split | empty:
                 expected = sum(f for first, f in by_length[ell] if lo <= first <= hi)
                 assert _window_rows_sum(n, ell, lo, hi) == expected, (n, ell, lo, hi)
 
@@ -479,7 +483,7 @@ def test_super_schur_restricts_to_schur():
     for k in range(6):
         for alpha in partitions_of(k):
             values = tuple(random_fraction(rng) for _ in range(3))
-            assert super_schur_value(alpha, values, ()) == schur_value(alpha, values)
+            assert super_schur_value(alpha, values, ()) == ssyt_monomial_sum(alpha, values)
 
 
 def test_super_schur_matches_jacobi_trudi():
@@ -493,11 +497,21 @@ def test_super_schur_matches_jacobi_trudi():
 
     for _ in range(400):
         alpha, a, b = rng.choice(shapes), values(), values()
-        assert super_schur_value(alpha, a, b) == super_schur_jacobi_trudi(alpha, a, b), (
+        assert super_schur_value(alpha, a, b) == super_schur_power_sum(alpha, a, b), (
             alpha, a, b)
     for alpha in shapes:
         a = values()
-        assert super_schur_jacobi_trudi(alpha, a, ()) == schur_value(alpha, a), (alpha, a)
+        assert super_schur_value(alpha, a, ()) == super_schur_power_sum(alpha, a, ()), (
+            alpha, a)
+
+
+def test_super_schur_two_row_values_at_one_half():
+    # s_(p,q)(x, y) = (xy)**q h_{p-q}(x, y), and h_r(1/2, 1/2) = (r + 1)/2**r
+    half = Fraction(1, 2)
+    for p in range(1, 80):
+        for q in range(1, min(p, 80 - p) + 1):
+            assert super_schur_value((p, q), (half, half), ()) == Fraction(
+                p - q + 1, 2 ** (p + q)), (p, q)
 
 
 def test_super_schur_conjugation_duality():
@@ -541,6 +555,7 @@ def test_rectangle_factorization_matches_super_schur():
         b = tuple(sorted((random_fraction(rng) for _ in range(j)), reverse=True))
         alpha, value = rectangle_factorization(i, j, mu, nu, a, b)
         assert value == super_schur_value(alpha, a, b)
+        assert value == super_schur_power_sum(alpha, a, b)
 
 
 def test_rectangle_factorization_validates():

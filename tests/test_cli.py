@@ -155,6 +155,16 @@ def test_asym_vk(capsys):
     assert record["results"]["exact_ratio"] == "297/398"
 
 
+def test_asym_vk_on_an_80_cell_alpha(capsys):
+    # s_(40,40)(1/2, 1/2) = (1/4)**40, one 2 x 2 determinant; the power-sum
+    # route would sum over all 15,796,476 partitions of 80
+    code, record, _ = run_json(
+        capsys, ["asym", "vk", "--alpha", "40,40", "--a", "1/2,1/2", "--m", "40"]
+    )
+    assert code == 0
+    assert record["results"]["estimate_ratio"] == "1/1208925819614629174706176"
+
+
 @pytest.mark.parametrize(
     "a, b, message",
     [
@@ -225,6 +235,18 @@ ASYM_DEFAULT_INPUTS = {
             {"kind": "mass", "n": 9},
             {"mass": "7/262", "mass_float": 0.026717557251908396},
             "bulk mass(n=9, eps=1/2) = 7/262 = 0.026718\n",
+        ),
+        (
+            ["vk", "--alpha", "3,2", "--a", "1/2,1/4", "--b", "1/4", "--m", "50"],
+            {"kind": "vk", "alpha": "3,2", "a": "1/2,1/4", "b": "1/4", "m": 50},
+            {
+                "estimate_ratio": "9/256",
+                "exact_ratio": "425/6402",
+                "lambda": "50,50",
+                "rel_err": -0.47042279411764704,
+            },
+            "limit ratio s_alpha(a/-b) = 9/256\nexact ratio at lambda=(50,50): 425/6402\n"
+            "relative error = -4.704e-01\n",
         ),
     ],
 )
