@@ -9,7 +9,7 @@ Two ways a shape lam with n cells can grow:
   * TVK regime: row frequencies lam_i/n -> a_i and column frequencies
     lam'_i/n -> b_i with sum(a) + sum(b) = 1.  Then f(lam/alpha)/f(lam)
     tends to the super-Schur value s_alpha(a / -b), computed here exactly
-    from its power-sum expansion.
+    as the Jacobi-Trudi determinant det[h_{alpha_i - i + j}].
 
 The two-row family lam = (m, m) realizes (a; b) = ((1/2, 1/2); ()) and its
 ratio admits an exact closed form, so the convergence is fully visible.

@@ -24,7 +24,6 @@ from .characters import (
     character,
     clear_character_cache,
     syt_count,
-    transposition_character,
 )
 from .exact import IntegralityError
 from .sequences import a_poly, b_stable, involutions, q_coeff
@@ -55,7 +54,6 @@ from .asymptotics import (
     exp_estimate,
     mw_log_involutions_estimate,
     mw_log_shifted_estimate,
-    power_sum,
     rectangle_factorization,
     relative_error,
     schur_value,

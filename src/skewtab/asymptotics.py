@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 
-from .characters import syt_count, transposition_character
+from .characters import character, syt_count
 from .containment import t_shift_coeff
 from .exact import exact_div, integer_det
 from .partitions import Partition, conjugate
@@ -142,7 +142,7 @@ def biane_estimate(f_lambda: int, n: int, alpha: Partition, c3: float) -> float:
     lead = float(f_lambda) * syt_count(alpha) / factorial(k)
     if k < 2:
         return lead
-    chi = float(transposition_character(alpha))
+    chi = character(alpha, (2,) + (1,) * (k - 2))
     return lead + float(f_lambda) * c3 * chi / (2 * factorial(k - 2) * math.sqrt(n))
 
 
@@ -235,13 +235,6 @@ def bulk_mass(n: int, eps) -> Fraction:
     for ell in range(lo, min(hi, (n + 1) // 2) + 1):
         total += 2 * _window_rows_sum(n, ell, ell + 1, hi) + _window_rows_sum(n, ell, ell, ell)
     return Fraction(total, involutions(n))
-
-
-def power_sum(r: int, values) -> Fraction:
-    """Power sum p_r evaluated at a rational vector."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    return sum((Fraction(v) ** r for v in values), Fraction(0))
 
 
 def schur_value(mu: Partition, values) -> Fraction:

@@ -14,19 +14,17 @@ class, chi^lam(mu) = sgn(mu) chi^lam'(mu), so the beta sets stay as short as
 the shorter of the two.  Python recursion depth does not depend on the
 weight or the class.
 
-Memo policy: ``lru_cache`` with no size cap, as on ``syt_count``.  The
-character table is keyed by the top-level (shape, class) of each
-``character`` call; the shapes of intermediate layers are not memoized.
-``lru_cache`` is thread-safe, and at worst two threads compute the same
-(deterministic) value.  ``clear_character_cache()`` empties the character
-table and ``syt_count``'s, the two tables the char route fills.
+Memo policy: only ``syt_count`` is memoized, with an uncapped ``lru_cache``
+(thread-safe; at worst two threads compute the same deterministic value).
+``character`` keeps no table of its own: its layers are rebuilt on each
+call, and its hook-length finish reads ``syt_count``'s.
+``clear_character_cache()`` empties that table.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .exact import exact_div
 from .partitions import Partition, conjugate, validate_partition
@@ -69,8 +67,14 @@ def _strip_layer(layer: dict[Partition, int], r: int) -> dict[Partition, int]:
     return {shape: c for shape, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
-def _character(lam: Partition, mu: Partition) -> int:
+def character(lam: Partition, mu: Partition) -> int:
+    """Character of the irreducible indexed by lam on the class of type mu.
+
+    Both must be partitions of the same weight; ValueError otherwise.
+    """
+    lam, mu = validate_partition(lam), validate_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(f"invalid character key: |{lam}| != |{mu}|")
     if lam and len(lam) > lam[0]:
         # chi^lam(mu) = sgn(mu) chi^lam'(mu): strip the shorter conjugate
         layer = {conjugate(lam): (-1) ** (sum(mu) - len(mu))}
@@ -82,32 +86,6 @@ def _character(lam: Partition, mu: Partition) -> int:
     return sum(c * syt_count(shape) for shape, c in layer.items())
 
 
-def character(lam: Partition, mu: Partition) -> int:
-    """Character of the irreducible indexed by lam on the class of type mu.
-
-    Both must be partitions of the same weight; ValueError otherwise.
-    """
-    lam, mu = validate_partition(lam), validate_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"invalid character key: |{lam}| != |{mu}|")
-    return _character(lam, mu)
-
-
 def clear_character_cache() -> None:
-    """Empty the character table and the ``syt_count`` table."""
-    _character.cache_clear()
+    """Empty the ``syt_count`` table, the one table the char route fills."""
     syt_count.cache_clear()
-
-
-def transposition_character(alpha: Partition) -> Fraction:
-    """Character of shape alpha on a transposition class, via cell contents.
-
-    Equals f^alpha * (sum C(alpha_i, 2) - sum C(alpha'_i, 2)) / C(k, 2); the
-    rational always reduces to the integer character value.
-    """
-    k = sum(alpha)
-    if k < 2:
-        raise ValueError("transposition class needs weight >= 2")
-    rows = sum(comb(p, 2) for p in alpha)
-    cols = sum(comb(p, 2) for p in conjugate(alpha))
-    return Fraction(syt_count(alpha) * (rows - cols), comb(k, 2))

@@ -1,6 +1,6 @@
 """Scalar sequences consumed by the counting formulas.
 
-Four memoized families live here:
+Four integer recurrences live here:
 
 * ``involutions(n)`` -- t_n, the involution numbers (total SYT with n cells),
 * ``q_coeff(j)``     -- coefficients q_j = d_j / j! of exp(-x - x**2/2) / (1 - x),
@@ -11,31 +11,19 @@ Four memoized families live here:
   A_{n+1} = A_n' + (x+1) A_n, the numerators of the single-row generating
   functions sum_k N(n+k; k) x**k = A_n(x) / (1-x).
 
-Each family is an integer recurrence over a module-level list that only
-ever grows, and ``_grow`` is the one place a list is extended; a cached
-value is a plain list index.  Appends are GIL-serialized, so concurrent
-readers are safe in CPython.
+Only t_n is memoized: the shifted sums of the containment routes read it
+at every index up to n, so ``_t`` is a module-level list that only ever
+grows (appends are GIL-serialized, so concurrent readers are safe in
+CPython).  The other three run their recurrence from the base cases on
+each call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
 from math import factorial
 
 _t: list[int] = [1, 1]
-_d: list[int] = [1, 0, 0]  # d_j = j! q_j
-_b: list[int] = [1, 2]
-_a: list[tuple[int, ...]] = [(1,)]
-
-
-def _grow(table: list, n: int, step: Callable[[list, int], object]):
-    """Append ``step(table, m)`` for m = len(table), ... until table[n] exists."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    while len(table) <= n:
-        table.append(step(table, len(table)))
-    return table[n]
 
 
 def involutions(n: int) -> int:
@@ -45,9 +33,10 @@ def involutions(n: int) -> int:
     """
     if n < 0:
         return 0
-    if n < len(_t):
-        return _t[n]
-    return _grow(_t, n, lambda t, m: t[m - 1] + (m - 1) * t[m - 2])
+    while len(_t) <= n:
+        m = len(_t)
+        _t.append(_t[m - 1] + (m - 1) * _t[m - 2])
+    return _t[n]
 
 
 def q_coeff(j: int) -> Fraction:
@@ -56,9 +45,12 @@ def q_coeff(j: int) -> Fraction:
     j! q_j = d_j counts the permutations with no cycle shorter than 3, and
     d_j = (j-1) (d_{j-1} + (j-2) d_{j-3}).
     """
-    if not 0 <= j < len(_d):
-        _grow(_d, j, lambda d, m: (m - 1) * (d[m - 1] + (m - 2) * d[m - 3]))
-    return Fraction(_d[j], factorial(j))
+    if j < 0:
+        raise ValueError("index must be nonnegative")
+    d = [1, 0, 0]
+    for m in range(3, j + 1):
+        d.append((m - 1) * (d[m - 1] + (m - 2) * d[m - 3]))
+    return Fraction(d[j], factorial(j))
 
 
 def b_stable(n: int) -> int:
@@ -67,15 +59,12 @@ def b_stable(n: int) -> int:
     Satisfies b_{n+1} = 2 b_n + n b_{n-1}; equals the count of (n+k)-cell
     SYT containing a fixed single-row k-cell tableau whenever n <= k.
     """
-    if 0 <= n < len(_b):
-        return _b[n]
-    return _grow(_b, n, lambda b, m: 2 * b[m - 1] + (m - 1) * b[m - 2])
-
-
-def _next_a(a: list[tuple[int, ...]], m: int) -> tuple[int, ...]:
-    # coefficient i of A_m is (i+1) c_{i+1} + c_i + c_{i-1} over A_{m-1} = sum c_i x**i
-    c = (0, *a[m - 1], 0, 0)  # c_i sits at c[i + 1]
-    return tuple((i + 1) * c[i + 2] + c[i + 1] + c[i] for i in range(m + 1))
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    b = [1, 2]
+    for m in range(2, n + 1):
+        b.append(2 * b[m - 1] + (m - 1) * b[m - 2])
+    return b[n]
 
 
 def a_poly(n: int) -> tuple[int, ...]:
@@ -83,6 +72,11 @@ def a_poly(n: int) -> tuple[int, ...]:
 
     A_0 = 1 and A_{n+1} = A_n' + (x+1) A_n, so A_n is monic of degree n.
     """
-    if 0 <= n < len(_a):
-        return _a[n]
-    return _grow(_a, n, _next_a)
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    a: tuple[int, ...] = (1,)
+    for m in range(1, n + 1):
+        # coefficient i of A_m is (i+1) c_{i+1} + c_i + c_{i-1} over A_{m-1} = sum c_i x**i
+        c = (0, *a, 0, 0)  # c_i sits at c[i + 1]
+        a = tuple((i + 1) * c[i + 2] + c[i + 1] + c[i] for i in range(m + 1))
+    return a

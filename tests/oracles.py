@@ -14,18 +14,28 @@ conjugate fold: every length's walk over every first part in the window.
 ``super_schur_power_sum`` evaluates s_alpha(a / -b) as
 sum over nu of chi^alpha(nu)/z_nu * prod_j (p_{nu_j}(a) + (-1)^(nu_j - 1)
 p_{nu_j}(b)), with no determinant: the runtime ``super_schur_value`` is the
-Jacobi-Trudi determinant.
+Jacobi-Trudi determinant.  ``power_sum`` evaluates p_r at a rational
+vector for both power-sum sides.  ``transposition_character`` reads the
+character on a transposition class off the cell contents, the check on the
+library's ``character(alpha, (2, 1, ..., 1))`` that ``biane_estimate`` uses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 from typing import Iterator
 
-from skewtab.asymptotics import _bulk_window, _window_rows_sum, power_sum, schur_value
-from skewtab.characters import character
-from skewtab.partitions import Partition, centralizer_order, partitions_of, square_cycle_type
+from skewtab.asymptotics import _bulk_window, _window_rows_sum, schur_value
+from skewtab.characters import character, syt_count
+from skewtab.partitions import (
+    Partition,
+    centralizer_order,
+    conjugate,
+    partitions_of,
+    square_cycle_type,
+)
 
 ORACLE_WEIGHT_CAP = 8
 
@@ -99,6 +109,13 @@ def unfolded_bulk_rows_sum(n: int, eps) -> int:
     return sum(_window_rows_sum(n, ell, lo, hi) for ell in range(lo, min(hi, n) + 1))
 
 
+def power_sum(r: int, values) -> Fraction:
+    """Power sum p_r evaluated at a rational vector."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    return sum((Fraction(v) ** r for v in values), Fraction(0))
+
+
 def super_schur_power_sum(alpha: Partition, a, b) -> Fraction:
     """Super-Schur value s_alpha(a / -b) from its power-sum expansion."""
     a = tuple(Fraction(v) for v in a)
@@ -120,6 +137,20 @@ def super_schur_power_sum(alpha: Partition, a, b) -> Fraction:
                 break
         total += Fraction(chi, centralizer_order(nu)) * product
     return total
+
+
+def transposition_character(alpha: Partition) -> Fraction:
+    """Character of shape alpha on a transposition class, via cell contents.
+
+    Equals f^alpha * (sum C(alpha_i, 2) - sum C(alpha'_i, 2)) / C(k, 2); the
+    rational always reduces to the integer character value.
+    """
+    k = sum(alpha)
+    if k < 2:
+        raise ValueError("transposition class needs weight >= 2")
+    rows = sum(comb(p, 2) for p in alpha)
+    cols = sum(comb(p, 2) for p in conjugate(alpha))
+    return Fraction(syt_count(alpha) * (rows - cols), comb(k, 2))
 
 
 def character_oracle(lam: Partition, mu: Partition) -> int:

@@ -18,11 +18,7 @@ from skewtab.asymptotics import (
     relative_error,
     super_schur_value,
 )
-from skewtab.characters import (
-    character,
-    syt_count,
-    transposition_character,
-)
+from skewtab.characters import character, syt_count
 from skewtab.containment import (
     CLOSED_FORMS,
     N_binomial,
@@ -50,6 +46,7 @@ from oracles import (
     character_oracle,
     schur_sum_identity_check,
     super_schur_power_sum,
+    transposition_character,
 )
 
 

@@ -14,7 +14,6 @@ from skewtab.asymptotics import (
     exp_estimate,
     mw_log_involutions_estimate,
     mw_log_shifted_estimate,
-    power_sum,
     rectangle_factorization,
     relative_error,
     schur_value,
@@ -29,6 +28,7 @@ from skewtab.skew_count import skew_syt_det
 
 from oracles import (
     bulk_members,
+    power_sum,
     schur_sum_identity_check,
     super_schur_power_sum,
     unfolded_bulk_rows_sum,

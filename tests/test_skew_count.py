@@ -174,6 +174,7 @@ def test_three_routes_agree_on_random_shapes(shape):
         ((22, 22, 19, 19, 19, 17, 17, 14, 14, 14, 12, 11, 10, 9, 9, 8, 8, 6, 4, 3, 3, 1), (5,)),
         ((30,) + (1,) * 30, (2,)),
         ((20,) * 20, (5, 3, 1)),
+        (tuple(range(10, 0, -1)), (3, 2, 1)),
     ],
 )
 def test_det_agrees_with_char_and_its_conjugate_on_large_shapes(outer, inner):
