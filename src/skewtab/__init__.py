@@ -22,6 +22,7 @@ from .partitions import (
 )
 from .characters import (
     character,
+    character_column,
     clear_character_cache,
     syt_count,
 )

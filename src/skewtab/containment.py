@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
 
-from .characters import character, syt_count
+from .characters import character_column
 from .exact import IntegralityError, exact_div
 from .partitions import (
     Partition,
@@ -78,10 +78,11 @@ def t_shift_coeff(j: int, alpha: Partition) -> Fraction:
     k = sum(alpha)
     if not 0 <= j <= k:
         raise ValueError("j must lie between 0 and |alpha|")
+    mus = list(partitions_no_small_parts(j))
+    column = character_column(alpha, [square_cycle_type(mu) for mu in mus])
     total = Fraction(0)
-    for mu in partitions_no_small_parts(j):
-        cls = square_cycle_type(mu) + (1,) * (k - j)
-        total += Fraction(character(alpha, cls), centralizer_order(mu))
+    for mu, chi in zip(mus, column):
+        total += Fraction(chi, centralizer_order(mu))
     return total / factorial(k - j)
 
 

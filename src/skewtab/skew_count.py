@@ -17,10 +17,9 @@ the conjugate shape compares two computations.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from fractions import Fraction
 from math import factorial, perm, prod
 
-from .characters import character
+from .characters import character_column
 from .exact import exact_div, integer_det
 from .partitions import Partition, SkewShape, centralizer_order, partitions_of
 
@@ -99,16 +98,23 @@ def skew_syt_det(shape: SkewShape) -> int:
 
 
 def skew_syt_char(shape: SkewShape) -> int:
-    """Count skew SYT as sum over nu of chi^lam(nu, 1^(n-k)) chi^alpha(nu) / z_nu."""
+    """Count skew SYT as sum over nu of chi^lam(nu, 1^(n-k)) chi^alpha(nu) / z_nu.
+
+    Both character columns come from ``character_column`` over the classes
+    nu of k = |alpha|.  Scaled by k!, each term is an integer, since k!/z_nu
+    is the size of the class nu; the one division by k! is checked.
+    """
     lam, alpha = shape.outer, shape.inner
-    n, k = sum(lam), sum(alpha)
-    total = Fraction(0)
-    for nu in partitions_of(k):
-        total += Fraction(
-            character(lam, nu + (1,) * (n - k)) * character(alpha, nu),
-            centralizer_order(nu),
+    k = sum(alpha)
+    classes = list(partitions_of(k))
+    k_factorial = factorial(k)
+    total = sum(
+        chi_lam * chi_alpha * (k_factorial // centralizer_order(nu))
+        for nu, chi_lam, chi_alpha in zip(
+            classes, character_column(lam, classes), character_column(alpha, classes)
         )
-    return exact_div(total.numerator, total.denominator, "character count for %s/%s", lam, alpha)
+    )
+    return exact_div(total, k_factorial, "character count for %s/%s", lam, alpha)
 
 
 def routes() -> dict[str, Callable[[SkewShape], int]]:

@@ -5,6 +5,8 @@ no code with the library's own.
 independently of the layered border-strip rule.  ``schur_sum_identity_check``
 checks the Schur-sum identity behind the acceptance suite's criterion 12.
 ``leibniz_det`` is the permutation-sum determinant, with no elimination.
+``hook_length_count`` is f^lam by the hook-length formula, the check on the
+library's Frobenius count ``syt_count``.
 ``boxed_partitions`` enumerates the partitions inside a box, and
 ``bulk_members`` lists the shapes of the bulk window with it; the window
 itself is read from the library's ``_bulk_window``, so the members check
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterator
 
 from skewtab.asymptotics import _bulk_window, _window_rows_sum, schur_value
@@ -59,6 +61,15 @@ def leibniz_det(matrix: list[list[int]]) -> int:
             term *= matrix[row][col]
         total += term
     return total
+
+
+def hook_length_count(lam: Partition) -> int:
+    """f^lam as n! over the product of the hook lengths."""
+    if not lam:
+        return 1
+    cols = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+    hooks = prod(part - j + cols[j] - i - 1 for i, part in enumerate(lam) for j in range(part))
+    return factorial(sum(lam)) // hooks
 
 
 def _boxed_parts(n: int, max_part: int, max_len: int) -> Iterator[Partition]:

@@ -6,7 +6,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewtab.characters import character, clear_character_cache, syt_count
+from skewtab.characters import (
+    character,
+    character_column,
+    clear_character_cache,
+    syt_count,
+)
 from skewtab.containment import t_shift_coeff
 from skewtab.partitions import (
     SkewShape,
@@ -18,7 +23,12 @@ from skewtab.partitions import (
 )
 from skewtab.skew_count import skew_syt_brute
 
-from oracles import character_oracle, transposition_character
+from oracles import (
+    ORACLE_WEIGHT_CAP,
+    character_oracle,
+    hook_length_count,
+    transposition_character,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -55,6 +65,16 @@ def test_syt_count_brute_force_small():
     for n in range(7):
         for lam in partitions_of(n):
             assert syt_count(lam) == brute_syt_count(lam)
+
+
+def test_syt_count_matches_hook_lengths():
+    # the Frobenius finish against the hook-length formula, on every shape up
+    # to 20 cells and on long, tall and staircase beta sets
+    for n in range(21):
+        for lam in partitions_of(n):
+            assert syt_count(lam) == hook_length_count(lam), lam
+    for lam in [(1500,), (1,) * 300, tuple(range(30, 0, -1))]:
+        assert syt_count(lam) == hook_length_count(lam), lam
 
 
 def test_syt_count_conjugation_invariance():
@@ -94,7 +114,7 @@ def test_character_rejects_non_partitions(lam, mu):
 
 
 def test_character_on_identity_class_is_dimension():
-    # brute_syt_count, not syt_count: the identity class is the hook-length
+    # brute_syt_count, not syt_count: the identity class is the Frobenius
     # finish of the layered rule itself
     for n in range(8):
         identity = (1,) * n
@@ -109,17 +129,28 @@ def test_character_on_identity_class_is_dimension():
 
 def test_character_sign_shape():
     # single-column shape carries the sign character
-    for n in range(1, 8):
+    for n in range(1, ORACLE_WEIGHT_CAP + 1):
         for mu in partitions_of(n):
             expected = 1 if (n - len(mu)) % 2 == 0 else -1
             assert character((1,) * n, mu) == expected
 
 
 def test_character_matches_oracle_small():
-    for n in range(8):
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                assert character(lam, mu) == character_oracle(lam, mu)
+    # every class nu of k <= n cells, padded with 1s, is a class of n cells;
+    # (1^8) would cost the oracle 8! permutations per class, and its
+    # characters are the sign, which test_character_sign_shape checks
+    for n in range(ORACLE_WEIGHT_CAP + 1):
+        shapes = [lam for lam in partitions_of(n) if len(lam) < 8]
+        oracle = {
+            (lam, mu): character_oracle(lam, mu) for lam in shapes for mu in partitions_of(n)
+        }
+        for (lam, mu), value in oracle.items():
+            assert character(lam, mu) == value, (lam, mu)
+        for lam in shapes:
+            for k in range(n + 1):
+                classes = list(partitions_of(k))
+                expected = [oracle[lam, nu + (1,) * (n - k)] for nu in classes]
+                assert character_column(lam, classes) == expected, (lam, k)
 
 
 def test_tall_shapes_match_oracle_at_weight_8():
@@ -148,6 +179,48 @@ def test_character_matches_oracle_on_random_pairs(pair):
     lam, mu = pair
     clear_character_cache()  # compute each pair afresh, not from an earlier example
     assert character(lam, mu) == character_oracle(lam, mu)
+
+
+def test_character_column_matches_character_on_every_class_up_to_10_cells():
+    for n in range(11):
+        for lam in partitions_of(n):
+            for k in range(n + 1):
+                classes = list(partitions_of(k))
+                expected = [character(lam, nu + (1,) * (n - k)) for nu in classes]
+                assert character_column(lam, classes) == expected, (lam, k)
+
+
+def test_character_column_keeps_the_order_of_its_classes():
+    classes = [(2, 2), (3,), (), (2,), (3, 2), (3, 1, 1), (2, 2), (1, 1, 1)]
+    expected = [character((4, 2, 1), nu + (1,) * (7 - sum(nu))) for nu in classes]
+    assert character_column((4, 2, 1), classes) == expected
+    assert character_column((4, 2, 1), []) == []
+
+
+@pytest.mark.parametrize(
+    "lam, classes", [((2, 1), [(4,)]), ((2, 1), [(2,), (1, 2)]), ((1, 2), [()])]
+)
+def test_character_column_rejects_invalid_keys(lam, classes):
+    with pytest.raises(ValueError):
+        character_column(lam, classes)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.integers(1, 12), min_size=3, max_size=12)
+    .map(lambda parts: tuple(sorted(parts, reverse=True)))
+    .filter(lambda lam: 26 <= sum(lam) <= 45),
+    st.booleans(),
+    st.integers(0, 6),
+)
+def test_character_column_matches_character_on_26_to_45_cells(lam, tall, k):
+    # a tall shape is stripped through its conjugate, with the sign of the class
+    wide, long = sorted((lam, conjugate(lam)), key=len)
+    lam = long if tall else wide
+    n = sum(lam)
+    classes = list(partitions_of(k))
+    expected = [character(lam, nu + (1,) * (n - k)) for nu in classes]
+    assert character_column(lam, classes) == expected
 
 
 def test_character_oracle_examples():
@@ -213,8 +286,8 @@ def test_character_depth_does_not_track_weight():
 
 
 def test_character_cache_clear():
-    character((3, 1), (2, 1, 1))
-    assert syt_count.cache_info().currsize > 0  # the hook-length finish
+    syt_count((3, 1))
+    assert syt_count.cache_info().currsize > 0
     clear_character_cache()
     assert syt_count.cache_info().currsize == 0
 

@@ -351,7 +351,7 @@ def test_integrality_violation_exit_4(capsys, monkeypatch):
             "factorial",
             lambda n: factorial(n) + 1,
             ["skew", "--outer", "3,1", "--method", "char"],
-            id="hook-lengths",
+            id="frobenius",
         ),
         pytest.param(
             skew_count,
