@@ -22,7 +22,6 @@ from .partitions import (
 )
 from .characters import (
     character,
-    character_column,
     clear_character_cache,
     syt_count,
 )

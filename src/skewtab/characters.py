@@ -18,12 +18,14 @@ coefficient times Frobenius' count.  A shape longer than it is wide starts
 from its conjugate with the sign of the class, chi^lam(mu) = sgn(mu)
 chi^lam'(mu), so the beta sets stay as short as the shorter of the two.
 ``character_column`` strips each distinct prefix of its classes' non-1
-parts once.  Python recursion depth does not depend on the weight or the
+parts once.  The identity class, which has no part >= 2, reads f^lam from
+``syt_count``.  Python recursion depth does not depend on the weight or the
 class.
 
 Memo policy: only ``syt_count`` is memoized, with an uncapped ``lru_cache``
 (thread-safe; at worst two threads compute the same deterministic value).
-The character layers are rebuilt on each call and read no table.
+The character layers are rebuilt on each call and read no table; only the
+identity class reads ``syt_count``'s.
 ``clear_character_cache()`` empties ``syt_count``'s table.
 """
 
@@ -82,6 +84,35 @@ def _strip_layer(layer: dict[Beta, int], r: int) -> dict[Beta, int]:
     return {shape: c for shape, c in out.items() if c}
 
 
+def _column(lam: Partition, strips: list[Partition]) -> list[int]:
+    """chi^lam on the classes whose parts >= 2 are ``strips``; inputs already valid."""
+    n = sum(lam)
+    if lam and len(lam) > lam[0]:
+        # chi^lam(mu) = sgn(mu) chi^lam'(mu): strip the shorter conjugate
+        start, tall = _beta(conjugate(lam)), True
+    else:
+        start, tall = _beta(lam), False
+    column = [0] * len(strips)
+    chain: list[dict[Beta, int]] = [{start: 1}]  # chain[s]: layer after the first s strips
+    done: Partition = ()
+    for index in sorted(range(len(strips)), key=strips.__getitem__):
+        parts = strips[index]
+        if not parts:
+            column[index] = syt_count(lam)  # the identity class: chi^lam(1^n) = f^lam
+            continue
+        shared = 0
+        while shared < min(len(done), len(parts)) and done[shared] == parts[shared]:
+            shared += 1
+        del chain[shared + 1 :]
+        for r in parts[shared:]:
+            chain.append(_strip_layer(chain[-1], r))
+        done = parts
+        m_factorial = factorial(n - sum(parts))
+        value = sum(c * _frobenius(beta, m_factorial) for beta, c in chain[-1].items())
+        column[index] = -value if tall and (sum(parts) - len(parts)) % 2 else value
+    return column
+
+
 def character_column(lam: Partition, classes: Iterable[Partition]) -> list[int]:
     """chi^lam(nu, 1^(|lam| - |nu|)) for each class nu in ``classes``, in order.
 
@@ -98,27 +129,7 @@ def character_column(lam: Partition, classes: Iterable[Partition]) -> list[int]:
         if sum(nu) > n:
             raise ValueError(f"invalid character key: |{nu}| > |{lam}|")
         strips.append(tuple(r for r in nu if r != 1))
-    if lam and len(lam) > lam[0]:
-        # chi^lam(mu) = sgn(mu) chi^lam'(mu): strip the shorter conjugate
-        start, tall = _beta(conjugate(lam)), True
-    else:
-        start, tall = _beta(lam), False
-    column = [0] * len(strips)
-    chain: list[dict[Beta, int]] = [{start: 1}]  # chain[s]: layer after the first s strips
-    done: Partition = ()
-    for index in sorted(range(len(strips)), key=strips.__getitem__):
-        parts = strips[index]
-        shared = 0
-        while shared < min(len(done), len(parts)) and done[shared] == parts[shared]:
-            shared += 1
-        del chain[shared + 1 :]
-        for r in parts[shared:]:
-            chain.append(_strip_layer(chain[-1], r))
-        done = parts
-        m_factorial = factorial(n - sum(parts))
-        value = sum(c * _frobenius(beta, m_factorial) for beta, c in chain[-1].items())
-        column[index] = -value if tall and (sum(parts) - len(parts)) % 2 else value
-    return column
+    return _column(lam, strips)
 
 
 def character(lam: Partition, mu: Partition) -> int:
@@ -129,7 +140,7 @@ def character(lam: Partition, mu: Partition) -> int:
     lam, mu = validate_partition(lam), validate_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"invalid character key: |{lam}| != |{mu}|")
-    return character_column(lam, [mu])[0]
+    return _column(lam, [tuple(r for r in mu if r != 1)])[0]
 
 
 def clear_character_cache() -> None:

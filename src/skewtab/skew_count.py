@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from math import factorial, perm, prod
 
-from .characters import character_column
+from .characters import character, character_column
 from .exact import exact_div, integer_det
 from .partitions import Partition, SkewShape, centralizer_order, partitions_of
 
@@ -100,19 +100,20 @@ def skew_syt_det(shape: SkewShape) -> int:
 def skew_syt_char(shape: SkewShape) -> int:
     """Count skew SYT as sum over nu of chi^lam(nu, 1^(n-k)) chi^alpha(nu) / z_nu.
 
-    Both character columns come from ``character_column`` over the classes
-    nu of k = |alpha|.  Scaled by k!, each term is an integer, since k!/z_nu
-    is the size of the class nu; the one division by k! is checked.
+    The classes nu are the partitions of k = |alpha|.  The column
+    chi^lam(nu, 1^(n-k)) comes from one ``character_column`` call, which
+    strips each shared prefix of the nu once; each chi^alpha(nu) is a
+    character on a class of alpha's own weight.  Scaled by k!, each term is
+    an integer, since k!/z_nu is the size of the class nu; the one division
+    by k! is checked.
     """
     lam, alpha = shape.outer, shape.inner
     k = sum(alpha)
     classes = list(partitions_of(k))
     k_factorial = factorial(k)
     total = sum(
-        chi_lam * chi_alpha * (k_factorial // centralizer_order(nu))
-        for nu, chi_lam, chi_alpha in zip(
-            classes, character_column(lam, classes), character_column(alpha, classes)
-        )
+        chi_lam * character(alpha, nu) * (k_factorial // centralizer_order(nu))
+        for nu, chi_lam in zip(classes, character_column(lam, classes))
     )
     return exact_div(total, k_factorial, "character count for %s/%s", lam, alpha)
 

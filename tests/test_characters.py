@@ -114,8 +114,8 @@ def test_character_rejects_non_partitions(lam, mu):
 
 
 def test_character_on_identity_class_is_dimension():
-    # brute_syt_count, not syt_count: the identity class is the Frobenius
-    # finish of the layered rule itself
+    # brute_syt_count, not syt_count: character reads the identity class
+    # from syt_count itself
     for n in range(8):
         identity = (1,) * n
         for lam in partitions_of(n):
