@@ -6,7 +6,16 @@ supports ``--json``, emitting a single JSON object per invocation in which
 big integers are decimal strings (never floats) and rationals are "p/q"
 strings in lowest terms with the sign on the numerator.  ``_report`` is the
 one writer of that record ``{command, inputs, results, agree}`` and of the
-text lines printed instead of it.
+text lines printed instead of it.  The record's text is
+``json.dumps(record, indent=2, sort_keys=True)`` byte for byte, written by
+``render_json`` without json's pure-Python encoder; each number is turned
+into digits once, and the text lines reuse those digits.
+
+Parsing: when the first argument names a subcommand, ``main`` parses the
+rest with that subcommand's parser alone, which is what the full parser
+would hand it.  Any other argv, and any argument the subcommand leaves
+unrecognized, goes through the full parser, so usage, help and error
+messages are argparse's own.
 
 The skew and containment routes, and so the ``--method`` choices, are read
 from ``skew_count.routes()`` and ``containment.routes()``.  The ``asym``
@@ -25,10 +34,11 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
-import json
+import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import asymptotics, containment, sequences, skew_count
 from .exact import IntegralityError
@@ -53,12 +63,40 @@ def _fmt_int(x: int) -> str:
     """Decimal digits of x at any size.
 
     ``str`` refuses ints beyond the interpreter's digit limit (4300 by
-    default); ``decimal`` converts them exactly without that limit.
+    default); ``_decimal_digits`` converts them exactly without that limit.
     """
     try:
         return str(x)
     except ValueError:
-        return str(decimal.Decimal(x))
+        return _decimal_digits(x)
+
+
+def _decimal_digits(x: int) -> str:
+    """Decimal digits of x in subquadratic time, with no digit limit.
+
+    ``str(decimal.Decimal(x))`` is quadratic in the length of x.  Instead x
+    is split by powers of 2 into words that ``Decimal`` converts cheaply,
+    and the halves are joined as ``lo + hi * 2**w`` in a context wide
+    enough to keep every step exact, where large products are fast.
+    ``str`` runs once, on the result.
+    """
+    powers: dict[int, decimal.Decimal] = {}
+
+    def join(n: int, width: int) -> decimal.Decimal:  # 0 <= n < 2**width
+        if width <= 1024:
+            return decimal.Decimal(n)
+        half = width >> 1
+        hi = n >> half
+        if half not in powers:
+            powers[half] = decimal.Decimal(2) ** half
+        return join(n - (hi << half), half) + join(hi, width - half) * powers[half]
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(join(abs(x), abs(x).bit_length()))
+    return "-" + digits if x < 0 else digits
 
 
 def _fmt_fraction(x: Fraction) -> str:
@@ -68,8 +106,54 @@ def _fmt_fraction(x: Fraction) -> str:
 
 
 def render_json(record: dict) -> str:
-    """Canonical JSON rendering; re-rendering a parsed record is bit-identical."""
-    return json.dumps(record, indent=2, sort_keys=True)
+    """``json.dumps(record, indent=2, sort_keys=True)``, byte for byte.
+
+    Re-rendering a parsed record is bit-identical.  ``json.dumps`` falls
+    back to its pure-Python encoder whenever ``indent`` is set;
+    ``_json_text`` writes the same text with less work per value.
+    """
+    return _json_text(record, "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` laid out as ``render_json`` does, at the indent ``newline`` ends with.
+
+    Strings go through json's own ASCII escaper and floats through
+    ``float.__repr__``, with json's ``NaN`` and ``Infinity`` spellings.
+    Dict keys must be strings.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -211,7 +295,7 @@ def _asym_prob(args) -> tuple[dict, list[str]]:
     results = {"estimate": estimate, "exact": _fmt_fraction(exact), "residual": residual}
     lines = [
         f"P({args.n}; {args.alpha}) estimate = {estimate:.10f}",
-        f"P({args.n}; {args.alpha}) exact = {_fmt_fraction(exact)} = {float(exact):.10f}",
+        f"P({args.n}; {args.alpha}) exact = {results['exact']} = {float(exact):.10f}",
         f"residual = {residual:.3e}",
     ]
     return results, lines
@@ -235,8 +319,8 @@ def _asym_vk(args) -> tuple[dict, list[str]]:
         "rel_err": rel,
     }
     lines = [
-        f"limit ratio s_alpha(a/-b) = {_fmt_fraction(estimate)}",
-        f"exact ratio at lambda=({args.m},{args.m}): {_fmt_fraction(exact_ratio)}",
+        f"limit ratio s_alpha(a/-b) = {results['estimate_ratio']}",
+        f"exact ratio at lambda=({args.m},{args.m}): {results['exact_ratio']}",
         f"relative error = {rel:.3e}",
     ]
     return results, lines
@@ -246,7 +330,7 @@ def _asym_mass(args) -> tuple[dict, list[str]]:
     eps = _parse_rational(args.eps)
     mass = asymptotics.bulk_mass(args.n, eps)
     results = {"mass": _fmt_fraction(mass), "mass_float": float(mass)}
-    lines = [f"bulk mass(n={args.n}, eps={args.eps}) = {_fmt_fraction(mass)} = {float(mass):.6f}"]
+    lines = [f"bulk mass(n={args.n}, eps={args.eps}) = {results['mass']} = {float(mass):.6f}"]
     return results, lines
 
 
@@ -277,7 +361,11 @@ def _cmd_asym(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it."""
+    """The argument parser, built on the first call and reused after it.
+
+    Its ``subcommands`` attribute maps each subcommand name to the parser
+    ``add_parser`` returned for it, for ``_parse``.
+    """
     parser = argparse.ArgumentParser(
         prog="skewtab",
         description="Exact SYT counting with cross-validated formulas",
@@ -317,12 +405,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_asym.add_argument("--json", action="store_true")
     p_asym.set_defaults(run=_cmd_asym)
+    parser.subcommands = {"skew": p_skew, "contain": p_contain, "table": p_table, "asym": p_asym}
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, parsing once when argv starts with a subcommand.
+
+    The full parser hands everything after the subcommand's name to that
+    subcommand's parser and sets ``cmd``, so doing the same directly gives
+    the same namespace and the same errors.  Leftover arguments go back
+    through the full parser, which reports them as unrecognized.
+    """
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is not None:
+        args, leftover = command.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+        if not leftover:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.run(args)
         sys.stdout.flush()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skewtab
 from skewtab import asymptotics, characters, cli, containment, sequences, skew_count
@@ -277,6 +279,30 @@ def test_json_round_trips_bit_identically(capsys):
         assert cli.render_json(record) + "\n" == raw
 
 
+ANY_CHAR = st.characters(exclude_categories=())  # surrogates and control characters too
+JSON_LEAVES = (
+    st.text(ANY_CHAR)
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.2e-308, 1e300, -1e300])
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.recursive(
+        JSON_LEAVES,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(ANY_CHAR, max_size=4), children, max_size=4),
+        max_leaves=20,
+    )
+)
+def test_render_json_is_json_dumps(value):
+    assert cli.render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_big_integers_are_strings(capsys):
     code, record, _ = run_json(
         capsys, ["contain", "--n", "40", "--alpha", "1", "--method", "expansion"]
@@ -331,6 +357,21 @@ def test_fmt_fraction_beyond_the_int_str_digit_limit():
     assert numerator[0] == "1" and numerator[-4:] == "0001"
     assert cli._fmt_int(-big) == "-1" + "0" * 5000
     assert cli._fmt_int(12345) == "12345"
+
+
+def test_decimal_digits_match_str_past_the_digit_limit():
+    # the subquadratic fallback against str with the limit lifted
+    values = [0, 1, -1, 12345, 3**125_000, -(7**71_000)]  # the last two about 60k digits
+    for k in (300, 4300, 4301, 60_000):
+        values += [10**k, 10**k - 1, -(10**k), 1 - 10**k]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(x) for x in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [cli._decimal_digits(x) for x in values] == expected
+    assert [cli._fmt_int(x) for x in values] == expected
 
 
 def test_integrality_violation_exit_4(capsys, monkeypatch):
@@ -528,3 +569,80 @@ def test_parser_defaults_do_not_leak_between_calls(capsys):
     assert record["inputs"]["inner"] == ""
     assert record["inputs"]["method"] == "all"
     assert record["results"]["count"] == "16"
+
+
+def parse_then_run(argv):
+    """The parse path ``main`` replaces: the full parser, then the subcommand."""
+    args = cli._build_parser().parse_args(argv)
+    return args.run(args)
+
+
+def outcome(capsys, call, argv):
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["skew", "--outer", "3,2,1", "--inner", "1"],
+        ["skew", "--outer", "4,2", "--method", "det", "--json"],
+        ["contain", "--n", "6", "--alpha", "2,1", "--json"],
+        ["table", "--max-k", "2", "--n-max", "3"],
+        ["asym", "tn", "--n", "20", "--json"],
+        ["asym", "shift", "--n", "30", "--m", "2"],
+        ["asym", "prob", "--n", "12", "--alpha", "2,1"],
+        ["asym", "vk", "--alpha", "2", "--a", "1/2,1/2", "--b", "", "--m", "10", "--json"],
+        ["asym", "mass", "--n", "12"],
+        ["-h"],
+        ["--help"],
+        ["skew", "-h"],
+        ["asym", "--help"],
+        ["skew", "--outer", "3", "-h"],
+        [],
+        ["frobnicate"],
+        ["ske", "--outer", "3"],
+        ["skew"],
+        ["asym"],
+        ["skew", "--outer", "3", "junk"],
+        ["skew", "--outer", "3", "--junk"],
+        ["asym", "tn", "extra", "--json"],
+        ["skew", "--out", "3,2"],
+        ["skew", "--out=3,2", "--in=1", "--me=det"],
+        ["skew", "--outer=3,2", "--json"],
+        ["contain", "--outer=3,2"],
+        ["contain", "--n", "x", "--alpha", "1"],
+        ["skew", "--outer", "3", "--method", "guess"],
+        ["--json", "skew", "--outer", "3"],
+        ["-h", "skew"],
+        ["skew", "--", "--outer", "3"],
+        ["skew", "--outer", "3", "--", "x"],
+        ["asym", "--", "tn"],
+        ["--", "skew", "--outer", "3"],
+    ],
+)
+def test_main_parses_as_the_full_parser_does(capsys, argv):
+    assert outcome(capsys, cli.main, argv) == outcome(capsys, parse_then_run, argv)
+
+
+def test_clearing_the_parser_cache_rebuilds_the_subcommand_parsers(capsys, monkeypatch):
+    stale = cli._build_parser().subcommands
+    assert set(stale) == {"skew", "contain", "table", "asym"}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parser from a cleared build was used")
+
+    for command in stale.values():
+        monkeypatch.setattr(command, "parse_known_args", refuse)
+    cli._build_parser.cache_clear()
+    fresh = cli._build_parser().subcommands
+    assert all(fresh[name] is not stale[name] for name in stale)
+    assert run(capsys, ["skew", "--outer", "3,2,1", "--method", "det"]) == (
+        0,
+        "f[3,2,1 / ()]\n  det   = 16\n",
+        "",
+    )
