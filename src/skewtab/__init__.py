@@ -29,10 +29,11 @@ from .exact import IntegralityError
 from .sequences import a_poly, b_stable, involutions, q_coeff
 from .skew_count import (
     BRUTE_FORCE_CELL_CAP,
+    CapacityError,
+    path_totals,
     skew_syt_brute,
     skew_syt_char,
     skew_syt_det,
-    walk_down,
 )
 from .containment import (
     CLOSED_FORMS,

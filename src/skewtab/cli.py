@@ -25,8 +25,10 @@ and ``mass`` (bulk mass).
 
 Exit codes: 0 ok (all requested agreement flags true), 1 disagreement,
 2 parse error, 3 invalid skew shape, 4 internal integrality violation,
-5 any other internal error, 141 (128 + SIGPIPE) the reader closed stdout
-before the output was written, with nothing on stderr.
+5 any other internal error, 6 capacity limit (a route asked for an input
+past its documented cap, such as the brute route above 25 cells; stdout
+stays empty), 141 (128 + SIGPIPE) the reader closed stdout before the
+output was written, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .partitions import (
     parse_partition,
     partitions_of,
 )
+from .skew_count import CapacityError
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -56,6 +59,7 @@ EXIT_PARSE = 2
 EXIT_INVALID_SHAPE = 3
 EXIT_INTEGRALITY = 4
 EXIT_INTERNAL = 5
+EXIT_CAPACITY = 6
 EXIT_CLOSED_OUTPUT = 141
 
 
@@ -438,6 +442,9 @@ def main(argv=None) -> int:
     except IntegralityError as exc:
         print(f"internal integrality violation: {exc}", file=sys.stderr)
         return EXIT_INTEGRALITY
+    except CapacityError as exc:
+        print(f"capacity limit: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

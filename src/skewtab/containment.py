@@ -6,14 +6,19 @@ Three independent routes are implemented and cross-checked:
 * ``N_expansion`` -- a finite linear combination of shifted involution
   numbers, sum_j e_j(alpha) t_{n-j}, with character coefficients,
 * ``N_binomial``  -- a binomial convolution of involution numbers against
-  skew counts inside alpha, all read from one walk down Young's lattice.
+  skew counts inside alpha, all read from one walk down Young's lattice
+  (``skew_count.path_totals`` from alpha to the empty shape, whose entry j
+  sums f^(alpha/mu) over the mu of weight |alpha| - j).
 
 The three share no code: direct runs determinants, expansion characters,
-and binomial the walk.  ``routes()`` is the one list of them, by name, in
-the order the CLI's ``--method all`` runs them.  ``N_direct`` takes each
-determinant in the orientation with fewer rows: it conjugates alpha once
-and counts every lam longer than it is wide as ``f^(lam'/alpha')``, which
-equals ``f^(lam/alpha)``.  Every route raises ValueError for a negative n
+and binomial the walk.  The walk keeps each shape as a bead mask, its beta
+set in bits, and builds those masks itself rather than from the beta sets
+of ``characters``, so binomial and expansion stay independent.
+``routes()`` is the one list of them, by name, in the order the CLI's
+``--method all`` runs them.  ``N_direct`` takes each determinant in the
+orientation with fewer rows: it conjugates alpha once and counts every lam
+longer than it is wide as ``f^(lam'/alpha')``, which equals
+``f^(lam/alpha)``.  Every route raises ValueError for a negative n
 and returns 0 for 0 <= n < |alpha|.
 
 ``CLOSED_FORMS`` freezes the classical closed forms for every shape with at
@@ -42,7 +47,7 @@ from .partitions import (
     validate_partition,
 )
 from .sequences import a_poly, b_stable, involutions, q_coeff
-from .skew_count import skew_syt_det, walk_down
+from .skew_count import path_totals, skew_syt_det
 
 # den, {shift j: numerator of e_j * den}; value = sum_j num * t_{n-j} / den.
 CLOSED_FORMS: dict[Partition, tuple[int, dict[int, int]]] = {
@@ -130,20 +135,19 @@ def N_binomial(n_plus_k: int, alpha: Partition) -> int:
     """N(n+k; alpha) = sum_j C(n,j) (sum over mu of f^(alpha/mu)) t_{n-j}.
 
     The inner sums, one per weight |mu| = k - j, all come from one walk down
-    Young's lattice from alpha to the empty shape: its level of weight m
-    holds every mu of weight m inside alpha, with f^(alpha/mu) paths each.
+    Young's lattice from alpha to the empty shape: ``path_totals(alpha, ())``
+    has at index j the paths from alpha down to every mu of weight k - j,
+    that is the sum of f^(alpha/mu) over them.
     """
     alpha = validate_partition(alpha)
     if n_plus_k < 0:
         raise ValueError("n must be nonnegative")
-    sums = [sum(level.values()) for level in walk_down(alpha, ())][::-1]
-    k = len(sums) - 1
+    totals = path_totals(alpha, ())
+    k = len(totals) - 1
     if n_plus_k < k:
         return 0
     n = n_plus_k - k
-    return sum(
-        comb(n, j) * sums[k - j] * involutions(n - j) for j in range(k + 1)
-    )
+    return sum(comb(n, j) * totals[j] * involutions(n - j) for j in range(k + 1))
 
 
 def routes() -> dict[str, Callable[[int, Partition], int]]:

@@ -1,7 +1,7 @@
 """Skew-shape SYT counts by three mutually independent methods.
 
 * ``skew_syt_brute``  -- growth paths between the inner and outer shape,
-  counted by one level-by-level walk down Young's lattice (``walk_down``),
+  counted by one level-by-level walk down Young's lattice (``path_totals``),
 * ``skew_syt_det``    -- the classical factorial determinant, built as the
   beta-set falling-factorial matrix and eliminated from its low-degree
   corner,
@@ -12,66 +12,103 @@ higher layers pick whichever is cheapest for their regime.  ``routes()`` is
 the one list of them, by name, in the order the CLI's ``--method all`` runs
 them.  ``skew_syt_det`` never conjugates, so comparing it with its value on
 the conjugate shape compares two computations.
+
+``path_totals(top, floor)`` is the walk.  It keeps each shape as its beta
+set in bits (James-Kerber's abacus), so removing a corner is one integer
+subtraction, and returns only the number of paths per weight: the brute
+route reads the last entry and ``containment.N_binomial`` all of them.  Its
+mask builder ``_beads`` is its own, not the beta sets of ``characters``, so
+the brute and char routes stay independent.  Past BRUTE_FORCE_CELL_CAP
+cells the brute route raises CapacityError.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from math import factorial, perm, prod
 
 from .characters import character, character_column
 from .exact import exact_div, integer_det
-from .partitions import Partition, SkewShape, centralizer_order, partitions_of
+from .partitions import (
+    InvalidSkewShapeError,
+    Partition,
+    SkewShape,
+    centralizer_order,
+    contains,
+    partitions_of,
+)
 
 BRUTE_FORCE_CELL_CAP = 25
 
 
-def walk_down(top: Partition, floor: Partition) -> Iterator[dict[Partition, int]]:
-    """Walk down Young's lattice from ``top`` to the weight of ``floor``.
+class CapacityError(ValueError):
+    """A route was asked for an input past its documented capacity limit."""
 
-    Yields one level per weight, from ``|top|`` down to ``|floor|``: each
-    maps a shape to its number of saturated chains (growth paths) up to
-    ``top``.  A level removes one corner cell from every shape of the level
-    above and keeps only the shapes that still contain ``floor``.  No
-    recursion, so the stack depth does not grow with the number of cells.
-    Both arguments must already be valid partitions.
+
+def _beads(shape: Partition, ell: int) -> int:
+    """The beads of ``shape``'s rows on an abacus of ``ell`` rows, as one int.
+
+    Row i sets bit ``shape[i] + ell - 1 - i``; rows past ``len(shape)`` are
+    left out.
     """
-    level = {top: 1}
-    yield level
-    reach = len(floor)
+    mask = 0
+    for i, row in enumerate(shape):
+        mask |= 1 << (row + ell - 1 - i)
+    return mask
+
+
+def path_totals(top: Partition, floor: Partition) -> list[int]:
+    """Growth paths down Young's lattice from ``top``, one total per weight.
+
+    Entry m is the number of saturated chains from ``top`` down to the
+    shapes of weight ``|top| - m`` that contain ``floor``, for m from 0 to
+    ``|top| - |floor|``; the last entry is f^(top/floor), since ``floor``
+    is the only such shape of its own weight.  Each shape is its beta set
+    in bits (``_beads`` with ``ell = len(top)``; a row that empties keeps
+    its bead at the bottom).  A corner is a bead at p > 0 with no bead at
+    p - 1, and removing it is ``beads - (1 << (p - 1))``.  A move of row
+    i is refused only when it would take row i below ``floor[i]``: the
+    floor has a bead at p, and as many beads from p up as the shape.  The
+    walk goes one level per weight, without recursion.  Both arguments must
+    already be valid partitions; InvalidSkewShapeError when ``floor`` does
+    not fit inside ``top``.
+    """
+    if not contains(top, floor):
+        raise InvalidSkewShapeError(f"{floor} is not contained in {top}")
+    ell = len(top)
+    guard = _beads(floor, ell)  # a zero row never moves, so it needs no bead
+    level = {_beads(top, ell): 1}
+    totals = [1]
     for _ in range(sum(top) - sum(floor)):
-        below: dict[Partition, int] = {}
-        for shape, paths in level.items():
-            last = len(shape) - 1
-            for i, row in enumerate(shape):
-                if i < last and row == shape[i + 1]:
-                    continue  # not a corner
-                if i < reach and row == floor[i]:
-                    continue  # the lower shape would not contain floor
-                if row > 1:
-                    lower = shape[:i] + (row - 1,) + shape[i + 1 :]
-                else:  # a row of 1 is a corner only as the last row
-                    lower = shape[:i]
-                below[lower] = below.get(lower, 0) + paths
+        below: dict[int, int] = {}
+        get = below.get
+        for beads, paths in level.items():
+            movable = beads & ~(beads << 1) & ~1
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                if low & guard and (beads & -low).bit_count() == (guard & -low).bit_count():
+                    continue  # row would drop below floor
+                lower = beads - (low >> 1)
+                below[lower] = get(lower, 0) + paths
         level = below
-        yield level
+        totals.append(sum(below.values()))
+    return totals
 
 
 def skew_syt_brute(shape: SkewShape) -> int:
     """Count skew SYT as growth paths from the inner to the outer shape.
 
-    The count at ``inner`` after walking down from ``outer``.  Capped at
+    The last of ``path_totals(outer, inner)``.  Raises CapacityError past
     BRUTE_FORCE_CELL_CAP cells; use the determinant or character method
     beyond that.
     """
     if shape.size > BRUTE_FORCE_CELL_CAP:
-        raise ValueError(
+        raise CapacityError(
             f"brute-force enumeration capped at {BRUTE_FORCE_CELL_CAP} cells; "
             "use skew_syt_det or skew_syt_char"
         )
-    for level in walk_down(shape.outer, shape.inner):
-        pass
-    return level[shape.inner]
+    return path_totals(shape.outer, shape.inner)[-1]
 
 
 def skew_syt_det(shape: SkewShape) -> int:

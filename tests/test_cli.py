@@ -56,6 +56,24 @@ def test_skew_parse_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["skew", "--outer", "26", "--method", "brute"],
+        ["skew", "--outer", "6,5,4,3,2,1,1,1,1,1,1"],  # 26 cells, default --method all
+    ],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_brute_cap_exits_6_with_empty_stdout(capsys, argv, json_flag):
+    code, out, err = run(capsys, argv + json_flag)
+    assert code == 6
+    assert out == ""
+    assert err == (
+        "capacity limit: brute-force enumeration capped at 25 cells; "
+        "use skew_syt_det or skew_syt_char\n"
+    )
+
+
 def test_contain_all_methods(capsys):
     code, record, _ = run_json(capsys, ["contain", "--n", "4", "--alpha", "2,1"])
     assert code == 0

@@ -236,8 +236,8 @@ def test_direct_route_runs_no_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("the direct route walked Young's lattice")
 
-    monkeypatch.setattr(containment, "walk_down", refuse)
-    monkeypatch.setattr(skew_count, "walk_down", refuse)
+    monkeypatch.setattr(containment, "path_totals", refuse)
+    monkeypatch.setattr(skew_count, "path_totals", refuse)
     for alpha in [(2, 1, 1), (3, 2), (1,) * 4, (4,)]:
         assert N_direct(12, alpha) == N_expansion(12, alpha), alpha
 

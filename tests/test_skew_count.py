@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,13 +12,20 @@ from hypothesis import given, settings, strategies as st
 import skewtab
 from skewtab.characters import syt_count
 from skewtab.exact import IntegralityError
-from skewtab.partitions import SkewShape, contains, partitions_of, skew_cells
+from skewtab.partitions import (
+    InvalidSkewShapeError,
+    SkewShape,
+    contains,
+    partitions_of,
+    skew_cells,
+)
 from skewtab.skew_count import (
     BRUTE_FORCE_CELL_CAP,
+    CapacityError,
+    path_totals,
     skew_syt_brute,
     skew_syt_char,
     skew_syt_det,
-    walk_down,
 )
 
 
@@ -58,6 +66,21 @@ def small_skew_pairs(max_outer, max_inner):
                 for alpha in partitions_of(k):
                     if contains(lam, alpha):
                         yield SkewShape(lam, alpha)
+
+
+def grown(rng, shape, cells, max_rows):
+    """``shape`` with ``cells`` cells added at random outer corners, in at most max_rows rows."""
+    rows = list(shape)
+    for _ in range(cells):
+        ends = [i for i in range(1, len(rows)) if rows[i] < rows[i - 1]]
+        if len(rows) < max_rows:
+            ends.append(len(rows))
+            rows.append(0)
+        i = rng.choice([0, *ends])
+        rows[i] += 1
+        if rows[-1] == 0:
+            rows.pop()
+    return tuple(rows)
 
 
 def filtered_inner_sum(alpha, m):
@@ -119,9 +142,26 @@ def test_brute_stack_depth_does_not_grow_with_cells():
     assert done.stdout == "1\n"
 
 
+def test_brute_equals_det_on_18_to_25_cell_tops():
+    # From a single row (rows = 1) to a single column (rows = n), tall tops of
+    # 15 rows or more among them; floors (), the top itself, a random floor
+    # with as many rows as the top, and a random shorter one.
+    for n in range(18, BRUTE_FORCE_CELL_CAP + 1):
+        rng = random.Random(n)
+        for rows in (1, 2, 4, 7, 11, 15, rng.randint(16, n), n):
+            top = grown(rng, (1,) * rows, n - rows, rows)
+            assert len(top) == rows and sum(top) == n, top
+            # sorting keeps row i at most top[i]
+            full = tuple(sorted((rng.randint(1, row) for row in top), reverse=True))
+            for floor in ((), top, full, full[: rng.randint(0, rows - 1)]):
+                shape = SkewShape(top, floor)
+                assert skew_syt_brute(shape) == skew_syt_det(shape), shape
+
+
 def test_brute_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(CapacityError):
         skew_syt_brute(SkewShape((26,), ()))
+    assert issubclass(CapacityError, ValueError)
     assert skew_syt_brute(SkewShape((25,), ())) == 1
 
 
@@ -206,7 +246,7 @@ def test_row_strip_ratio_identity():
 
 def level_sums(alpha):
     """Entry m: the sum of f^(alpha/mu) over mu of weight m, read from one walk."""
-    return [sum(level.values()) for level in walk_down(alpha, ())][::-1]
+    return path_totals(alpha, ())[::-1]
 
 
 def test_walk_down_level_sums():
@@ -215,7 +255,27 @@ def test_walk_down_level_sums():
 
 
 def test_walk_down_from_the_empty_shape():
-    assert list(walk_down((), ())) == [{(): 1}]
+    assert path_totals((), ()) == [1]
+
+
+def test_path_totals_with_a_floor_against_filtering_every_partition():
+    # entry m sums f^(top/mu) over the mu of weight |top| - m between floor and top
+    for top, floor in ((s.outer, s.inner) for s in small_skew_pairs(8, 8)):
+        for m, total in enumerate(path_totals(top, floor)):
+            assert total == sum(
+                skew_syt_det(SkewShape(top, mu))
+                for mu in partitions_of(sum(top) - m)
+                if contains(top, mu) and contains(mu, floor)
+            ), (top, floor, m)
+
+
+@pytest.mark.parametrize(
+    "top, floor",
+    [((3, 1), (1, 1, 1)), ((1,), (2,)), ((), (1,)), ((4, 2), (3, 3)), ((2, 2, 1), (2, 2, 2))],
+)
+def test_path_totals_rejects_a_floor_outside_the_top(top, floor):
+    with pytest.raises(InvalidSkewShapeError):
+        path_totals(top, floor)
 
 
 def test_walk_down_level_sums_against_filtering_every_partition():
