@@ -23,7 +23,7 @@ The growth constant C_3 of a rescaled limit shape is passed to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 
@@ -36,27 +36,34 @@ from .sequences import involutions
 _LOG_FLOAT_MAX = 709.0  # beyond this math.exp overflows a double
 
 
-@dataclass(frozen=True)
-class LimitSpec:
+class LimitSpec(namedtuple("LimitSpec", "a b")):
     """Row/column frequency data (a; b) for a growing partition sequence.
 
     Frequencies are exact rationals, weakly decreasing and nonnegative, with
-    total mass at most 1 (exactly 1 for the TVK estimator).
+    total mass at most 1 (exactly 1 for the TVK estimator).  An immutable
+    tuple subclass: it unpacks as ``(a, b)`` and compares and hashes equal
+    to that plain tuple.  ``_make`` and ``_replace`` go through the same
+    validation as the constructor.
     """
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
-        for seq in (self.a, self.b):
+    def __new__(cls, a, b=()) -> "LimitSpec":
+        a = tuple(Fraction(x) for x in a)
+        b = tuple(Fraction(x) for x in b)
+        for seq in (a, b):
             if any(x < 0 for x in seq):
                 raise ValueError("frequencies must be nonnegative")
             if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
                 raise ValueError("frequencies must be weakly decreasing")
+        self = super().__new__(cls, a, b)
         if self.frequency_sum() > 1:
             raise ValueError("total frequency mass exceeds 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "LimitSpec":
+        return cls(*iterable)
 
     def frequency_sum(self) -> Fraction:
         return sum(self.a, Fraction(0)) + sum(self.b, Fraction(0))

@@ -308,6 +308,8 @@ def _asym_prob(args) -> tuple[dict, list[str]]:
 def _asym_vk(args) -> tuple[dict, list[str]]:
     alpha = parse_partition(args.alpha)
     spec = asymptotics.LimitSpec(_parse_rational_list(args.a), _parse_rational_list(args.b))
+    if spec.frequency_sum() != 1:
+        raise ValueError("TVK frequencies must sum to exactly 1")
     if args.m < 1:
         raise ValueError("kind=vk needs --m >= 1 (the two-row size)")
     estimate = asymptotics.super_schur_value(alpha, spec.a, spec.b)

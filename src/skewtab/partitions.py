@@ -16,10 +16,9 @@ e.g. ``"6,6,5,4,2,1"``; the empty string denotes the empty partition.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from math import factorial
-from typing import Iterator
 
 Partition = tuple[int, ...]
 
@@ -147,20 +146,26 @@ def skew_cells(lam: Partition, alpha: Partition) -> list[tuple[int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class SkewShape:
-    """An outer/inner partition pair with the inner contained in the outer."""
+class SkewShape(namedtuple("SkewShape", "outer inner")):
+    """An outer/inner partition pair with the inner contained in the outer.
 
-    outer: Partition
-    inner: Partition
+    An immutable tuple subclass: it unpacks as ``(outer, inner)`` and
+    compares and hashes equal to that plain tuple.  ``_make`` and
+    ``_replace`` go through the same validation as the constructor.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outer", validate_partition(self.outer))
-        object.__setattr__(self, "inner", validate_partition(self.inner))
-        if not contains(self.outer, self.inner):
-            raise InvalidSkewShapeError(
-                f"{self.inner} is not contained in {self.outer}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, outer: Partition, inner: Partition) -> "SkewShape":
+        outer = validate_partition(outer)
+        inner = validate_partition(inner)
+        if not contains(outer, inner):
+            raise InvalidSkewShapeError(f"{inner} is not contained in {outer}")
+        return super().__new__(cls, outer, inner)
+
+    @classmethod
+    def _make(cls, iterable) -> "SkewShape":
+        return cls(*iterable)
 
     @property
     def size(self) -> int:

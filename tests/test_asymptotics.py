@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import cache
@@ -595,6 +596,42 @@ def test_limit_spec_validation():
         LimitSpec(a=(Fraction(3, 4),), b=(Fraction(1, 2),))
     spec = LimitSpec(a=(Fraction(1, 2),), b=(Fraction(1, 4),))
     assert spec.frequency_sum() == Fraction(3, 4)
+
+
+def test_limit_spec_is_an_immutable_validated_record():
+    half = Fraction(1, 2)
+    spec = LimitSpec((half, half))
+    assert repr(spec) == "LimitSpec(a=(Fraction(1, 2), Fraction(1, 2)), b=())"
+    assert spec.b == ()
+    assert LimitSpec(a=["1/2", 0.5], b=()) == spec == LimitSpec((half, half), ())
+    a, b = spec
+    assert (a, b) == spec == ((half, half), ())
+    assert hash(LimitSpec((half, half))) == hash(spec)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    with pytest.raises(AttributeError):
+        spec.a = (Fraction(1),)
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    assert spec._replace(b=(0,)) == LimitSpec((half, half), (Fraction(0),))
+    with pytest.raises(ValueError, match="^total frequency mass exceeds 1$"):
+        spec._replace(b=(half,))
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ((Fraction(-1, 2),), (), "frequencies must be nonnegative"),
+        ((Fraction(1, 4),), (Fraction(-1, 4),), "frequencies must be nonnegative"),
+        ((Fraction(1, 2), Fraction(2, 3)), (), "frequencies must be weakly decreasing"),
+        ((Fraction(1, 2),), (0, Fraction(1, 4)), "frequencies must be weakly decreasing"),
+        ((Fraction(3, 4),), (Fraction(1, 2),), "total frequency mass exceeds 1"),
+    ],
+)
+def test_limit_spec_errors_keep_type_and_message(a, b, message):
+    with pytest.raises(ValueError) as info:
+        LimitSpec(a, b)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 def test_schur_sum_identity():

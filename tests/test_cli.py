@@ -204,6 +204,19 @@ def test_asym_vk_rejects_what_limit_spec_rejects(capsys, a, b, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "a, b", [("0", ""), ("1/2", ""), ("1/4", "1/4")], ids=["zero", "half", "half-split"]
+)
+def test_asym_vk_needs_total_mass_one(capsys, a, b):
+    # the TVK limit is taken under frequencies of total exactly 1
+    code, out, err = run(
+        capsys, ["asym", "vk", "--alpha", "1", f"--a={a}", f"--b={b}", "--m", "3"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: TVK frequencies must sum to exactly 1\n"
+
+
 def test_asym_mass(capsys):
     code, record, _ = run_json(capsys, ["asym", "mass", "--n", "16", "--eps", "1/2"])
     assert code == 0
@@ -664,3 +677,25 @@ def test_clearing_the_parser_cache_rebuilds_the_subcommand_parsers(capsys, monke
         "f[3,2,1 / ()]\n  det   = 16\n",
         "",
     )
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # every skewtab process pays for what the import pulls in; these modules
+    # (about 10 ms of a cold start) serve nothing at runtime
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "linecache", "copy")
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import skewtab, skewtab.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(skewtab.__file__))
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "skewtab.cli" in added
+    assert not added.intersection(heavy), sorted(added.intersection(heavy))

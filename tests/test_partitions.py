@@ -1,3 +1,4 @@
+import pickle
 from math import factorial
 
 import pytest
@@ -255,6 +256,41 @@ def test_skew_shape_construction():
         SkewShape((2, 1), (2, 2))
     with pytest.raises(ValueError):
         SkewShape((1, 2), ())
+
+
+def test_skew_shape_is_an_immutable_validated_record():
+    shape = SkewShape((3, 2), (1,))
+    assert repr(shape) == "SkewShape(outer=(3, 2), inner=(1,))"
+    assert SkewShape(outer=(3, 2), inner=(1,)) == shape == SkewShape([3, 2], [1])
+    outer, inner = shape
+    assert (outer, inner) == shape == ((3, 2), (1,))
+    assert hash(SkewShape((3, 2), (1,))) == hash(shape)
+    assert pickle.loads(pickle.dumps(shape)) == shape
+    with pytest.raises(AttributeError):
+        shape.outer = (4,)
+    with pytest.raises(AttributeError):
+        shape.extra = 1
+    # the namedtuple helpers construct through the same validation
+    assert shape._replace(inner=(2,)) == SkewShape((3, 2), (2,))
+    with pytest.raises(InvalidSkewShapeError, match=r"^\(4,\) is not contained in \(3, 2\)$"):
+        shape._replace(inner=(4,))
+    with pytest.raises(InvalidSkewShapeError):
+        SkewShape._make([(1,), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "outer, inner, error, message",
+    [
+        ((2, 1), (2, 2), InvalidSkewShapeError, "(2, 2) is not contained in (2, 1)"),
+        ((1, 2), (), ValueError, "partition parts must be weakly decreasing, got (1, 2)"),
+        ((2,), (0,), ValueError, "partition parts must be positive integers, got (0,)"),
+    ],
+)
+def test_skew_shape_errors_keep_type_and_message(outer, inner, error, message):
+    with pytest.raises(error) as info:
+        SkewShape(outer, inner)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_skew_shape_conjugate_equals_a_validated_transpose():
