@@ -25,7 +25,7 @@ from .characters import (
     clear_character_cache,
     syt_count,
 )
-from .exact import IntegralityError
+from .exact import DomainError, IntegralityError
 from .sequences import a_poly, b_stable, involutions, q_coeff
 from .skew_count import (
     BRUTE_FORCE_CELL_CAP,

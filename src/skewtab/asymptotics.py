@@ -29,7 +29,7 @@ from math import comb, factorial, lcm, perm, prod
 
 from .characters import character, syt_count
 from .containment import t_shift_coeff
-from .exact import exact_div, integer_det
+from .exact import DomainError, exact_div, integer_det
 from .partitions import Partition, conjugate
 from .sequences import involutions
 
@@ -76,9 +76,9 @@ def mw_log_involutions_estimate(n: int, order: int = 2) -> float:
     1 + 7/(24 sqrt n) - 119/(1152 n).
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+        raise DomainError("order must be 0, 1 or 2")
     root = math.sqrt(n)
     log_lead = -0.5 * math.log(2) + 0.5 * n * math.log(n) - 0.5 * n + root - 0.25
     corr = 1.0
@@ -97,14 +97,14 @@ def mw_log_shifted_estimate(n: int, j: int) -> float:
     is exactly the order-2 estimate for t_n.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     if not 0 <= j <= n:
-        raise ValueError("need 0 <= j <= n")
+        raise DomainError("need 0 <= j <= n")
     root = math.sqrt(n)
     log_lead = -0.5 * math.log(2) + 0.5 * (n - j) * math.log(n) - 0.5 * n + root - 0.25
     corr = 1 + (7 / 24 - j / 2) / root - (119 / 1152 + 7 * j / 48 - 3 * j * j / 8) / n
     if corr <= 0:
-        raise ValueError("correction factor is not positive; j is too large for n")
+        raise DomainError("correction factor is not positive; j is too large for n")
     return log_lead + math.log(corr)
 
 
@@ -116,7 +116,7 @@ def exp_estimate(log_value: float) -> float:
 def relative_error(log_estimate: float, exact: int) -> float:
     """estimate/exact - 1, computed in log space so huge exacts are safe."""
     if exact <= 0:
-        raise ValueError("exact value must be positive")
+        raise DomainError("exact value must be positive")
     return math.expm1(log_estimate - math.log(exact))
 
 
@@ -128,7 +128,7 @@ def containment_probability_estimate(n: int, alpha: Partition) -> float:
     cells have no e_3 (resp. e_4) term.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     k = sum(alpha)
     e0 = Fraction(syt_count(alpha), factorial(k))
     e3 = t_shift_coeff(3, alpha) if k >= 3 else Fraction(0)
@@ -144,7 +144,7 @@ def biane_estimate(f_lambda: int, n: int, alpha: Partition, c3: float) -> float:
     exist and the leading term is returned.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     k = sum(alpha)
     lead = float(f_lambda) * syt_count(alpha) / factorial(k)
     if k < 2:
@@ -162,10 +162,10 @@ def _bulk_window(n: int, eps) -> tuple[int, int]:
     bound.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     eps = Fraction(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise DomainError("eps must be positive")
     hi = math.isqrt(math.ceil((2 + eps) ** 2 * n) - 1)
     lo = math.isqrt(math.floor((2 - eps) ** 2 * n)) + 1 if eps < 2 else 1
     return lo, hi

@@ -24,11 +24,15 @@ of t_n and t_{n-m}), ``prob`` (P(n; alpha)), ``vk`` (two-row limit ratio)
 and ``mass`` (bulk mass).
 
 Exit codes: 0 ok (all requested agreement flags true), 1 disagreement,
-2 parse error, 3 invalid skew shape, 4 internal integrality violation,
-5 any other internal error, 6 capacity limit (a route asked for an input
-past its documented cap, such as the brute route above 25 cells; stdout
-stays empty), 141 (128 + SIGPIPE) the reader closed stdout before the
-output was written, with nothing on stderr.
+2 parse error (text that does not parse, a non-partition, or frequencies
+that ``LimitSpec`` or the TVK total refuses), 3 invalid skew shape,
+4 internal integrality violation, 5 any other internal error, 6 capacity
+limit (a route asked for an input past its documented cap, such as the
+brute route above 25 cells; stdout stays empty), 7 domain error (a
+well-formed number outside its function's domain, such as
+``contain --n -1`` or ``asym mass --eps 0``; ``domain error: ...`` on
+stderr, stdout stays empty), 141 (128 + SIGPIPE) the reader closed stdout
+before the output was written, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import asymptotics, containment, sequences, skew_count
-from .exact import IntegralityError
+from .exact import DomainError, IntegralityError
 from .partitions import (
     InvalidSkewShapeError,
     SkewShape,
@@ -60,6 +64,7 @@ EXIT_INVALID_SHAPE = 3
 EXIT_INTEGRALITY = 4
 EXIT_INTERNAL = 5
 EXIT_CAPACITY = 6
+EXIT_DOMAIN = 7
 EXIT_CLOSED_OUTPUT = 141
 
 
@@ -237,9 +242,9 @@ def _cmd_contain(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.max_k < 1:
-        raise ValueError("--max-k must be at least 1")
+        raise DomainError("--max-k must be at least 1")
     if args.n_max < 0:
-        raise ValueError("--n-max must be nonnegative")
+        raise DomainError("--n-max must be nonnegative")
     rows = []
     all_match = True
     for k in range(1, args.max_k + 1):
@@ -311,7 +316,7 @@ def _asym_vk(args) -> tuple[dict, list[str]]:
     if spec.frequency_sum() != 1:
         raise ValueError("TVK frequencies must sum to exactly 1")
     if args.m < 1:
-        raise ValueError("kind=vk needs --m >= 1 (the two-row size)")
+        raise DomainError("kind=vk needs --m >= 1 (the two-row size)")
     estimate = asymptotics.super_schur_value(alpha, spec.a, spec.b)
     lam = (args.m, args.m)
     f_lam = skew_count.skew_syt_det(SkewShape(lam, ()))
@@ -447,6 +452,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity limit: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -18,7 +18,7 @@ of ``characters``, so binomial and expansion stay independent.
 ``--method all`` runs them.  ``N_direct`` takes each determinant in the
 orientation with fewer rows: it conjugates alpha once and counts every lam
 longer than it is wide as ``f^(lam'/alpha')``, which equals
-``f^(lam/alpha)``.  Every route raises ValueError for a negative n
+``f^(lam/alpha)``.  Every route raises DomainError for a negative n
 and returns 0 for 0 <= n < |alpha|.
 
 ``CLOSED_FORMS`` freezes the classical closed forms for every shape with at
@@ -34,7 +34,7 @@ from itertools import accumulate
 from math import comb, factorial
 
 from .characters import character_column
-from .exact import IntegralityError, exact_div
+from .exact import DomainError, IntegralityError, exact_div
 from .partitions import (
     Partition,
     SkewShape,
@@ -82,7 +82,7 @@ def t_shift_coeff(j: int, alpha: Partition) -> Fraction:
     """
     k = sum(alpha)
     if not 0 <= j <= k:
-        raise ValueError("j must lie between 0 and |alpha|")
+        raise DomainError("j must lie between 0 and |alpha|")
     mus = list(partitions_no_small_parts(j))
     column = character_column(alpha, [square_cycle_type(mu) for mu in mus])
     total = Fraction(0)
@@ -94,12 +94,14 @@ def t_shift_coeff(j: int, alpha: Partition) -> Fraction:
 def N_direct(n: int, alpha: Partition) -> int:
     """N(n; alpha) from the definition: sum of f^(lam/alpha) over lam of n cells.
 
-    One determinant per lam, of dimension min(len(lam), lam[0]): a lam
-    longer than it is wide is counted as f^(lam'/alpha').
+    One ``skew_syt_det`` per lam, in the orientation with fewer rows: a lam
+    longer than it is wide is counted as f^(lam'/alpha').  Its Newton
+    levels run over those min(len(lam), lam[0]) rows, and the matrix left
+    for ``integer_det`` is len(alpha) wide, or len(alpha') when conjugated.
     """
     alpha = validate_partition(alpha)
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     alpha_t = conjugate(alpha)
     width = alpha[0] if alpha else 0
     total = 0
@@ -119,7 +121,7 @@ def N_expansion(n: int, alpha: Partition) -> int:
     """N(n; alpha) as sum_j e_j(alpha) t_{n-j}; zero for 0 <= n < |alpha|."""
     alpha = validate_partition(alpha)
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     k = sum(alpha)
     if n < k:
         return 0
@@ -141,7 +143,7 @@ def N_binomial(n_plus_k: int, alpha: Partition) -> int:
     """
     alpha = validate_partition(alpha)
     if n_plus_k < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     totals = path_totals(alpha, ())
     k = len(totals) - 1
     if n_plus_k < k:
@@ -161,7 +163,7 @@ def routes() -> dict[str, Callable[[int, Partition], int]]:
 def N_closed_form(n: int, alpha: Partition) -> int:
     """Golden closed form for |alpha| <= 5; zero for 0 <= n < |alpha|."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     if alpha not in CLOSED_FORMS:
         raise ValueError(f"no closed form on record for {alpha}")
     if n < sum(alpha):
@@ -183,7 +185,7 @@ def N_row(n_plus_k: int, k: int) -> int:
     sum_j q_j/(k-j)! t_{n+k-j} must agree exactly; a mismatch means a bug.
     """
     if not 0 <= k <= n_plus_k:
-        raise ValueError("need n_plus_k >= k >= 0")
+        raise DomainError("need n_plus_k >= k >= 0")
     n = n_plus_k - k
     binomial_form = sum(comb(n, j) * involutions(n - j) for j in range(k + 1))
     q_form = sum(
@@ -201,7 +203,7 @@ def N_row(n_plus_k: int, k: int) -> int:
 def generating_poly_check(n: int, max_k: int) -> bool:
     """True iff sum_k N(n+k; k) x**k matches a_poly(n) / (1 - x) up to max_k."""
     if n < 0 or max_k < n:
-        raise ValueError("need max_k >= n >= 0")
+        raise DomainError("need max_k >= n >= 0")
     partial_sums = list(accumulate(a_poly(n)))
     return all(
         N_row(n + k, k) == partial_sums[min(k, n)] for k in range(max_k + 1)
@@ -211,5 +213,5 @@ def generating_poly_check(n: int, max_k: int) -> bool:
 def stability_check(k: int) -> bool:
     """True iff N(n+k; k) has stabilized to b_n for every n <= k."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise DomainError("k must be nonnegative")
     return all(N_row(n + k, k) == b_stable(n) for n in range(k + 1))

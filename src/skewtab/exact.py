@@ -3,7 +3,9 @@
 Every formula in this package is evaluated in integers or rationals; any
 division that is supposed to cancel goes through ``exact_div``, the one
 integrality check in the package.  A failed check raises IntegralityError,
-which the CLI maps to its own exit code.
+which the CLI maps to its own exit code.  DomainError, raised wherever a
+single well-formed number lies outside its function's domain (a negative
+n, a window width of 0), has its own exit code too.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from __future__ import annotations
 
 class IntegralityError(ArithmeticError):
     """An exact computation produced a non-integer or failed a cross-check."""
+
+
+class DomainError(ValueError):
+    """A single, well-formed number lies outside its function's domain."""
 
 
 def exact_div(numerator: int, denominator: int, context: str, *args) -> int:

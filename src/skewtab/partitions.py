@@ -20,6 +20,8 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from math import factorial
 
+from .exact import DomainError
+
 Partition = tuple[int, ...]
 
 
@@ -116,14 +118,14 @@ def partitions_of(n: int) -> Iterator[Partition]:
     The order is stable and documented: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     yield from _descending_parts(n, n, 1)
 
 
 def partitions_no_small_parts(j: int) -> Iterator[Partition]:
     """Partitions of j whose every part is at least 3 (reverse-lex order)."""
     if j < 0:
-        raise ValueError("j must be nonnegative")
+        raise DomainError("j must be nonnegative")
     yield from _descending_parts(j, j, 3)
 
 

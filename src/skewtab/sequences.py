@@ -23,6 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .exact import DomainError
+
 _t: list[int] = [1, 1]
 
 
@@ -46,7 +48,7 @@ def q_coeff(j: int) -> Fraction:
     d_j = (j-1) (d_{j-1} + (j-2) d_{j-3}).
     """
     if j < 0:
-        raise ValueError("index must be nonnegative")
+        raise DomainError("index must be nonnegative")
     d = [1, 0, 0]
     for m in range(3, j + 1):
         d.append((m - 1) * (d[m - 1] + (m - 2) * d[m - 3]))
@@ -60,7 +62,7 @@ def b_stable(n: int) -> int:
     SYT containing a fixed single-row k-cell tableau whenever n <= k.
     """
     if n < 0:
-        raise ValueError("index must be nonnegative")
+        raise DomainError("index must be nonnegative")
     b = [1, 2]
     for m in range(2, n + 1):
         b.append(2 * b[m - 1] + (m - 1) * b[m - 2])
@@ -73,7 +75,7 @@ def a_poly(n: int) -> tuple[int, ...]:
     A_0 = 1 and A_{n+1} = A_n' + (x+1) A_n, so A_n is monic of degree n.
     """
     if n < 0:
-        raise ValueError("index must be nonnegative")
+        raise DomainError("index must be nonnegative")
     a: tuple[int, ...] = (1,)
     for m in range(1, n + 1):
         # coefficient i of A_m is (i+1) c_{i+1} + c_i + c_{i-1} over A_{m-1} = sum c_i x**i

@@ -2,9 +2,10 @@
 
 * ``skew_syt_brute``  -- growth paths between the inner and outer shape,
   counted by one level-by-level walk down Young's lattice (``path_totals``),
-* ``skew_syt_det``    -- the classical factorial determinant, built as the
-  beta-set falling-factorial matrix and eliminated from its low-degree
-  corner,
+* ``skew_syt_det``    -- the classical factorial determinant on the beta-set
+  falling-factorial matrix, whose Vandermonde block is divided out by
+  Newton differences so that only a len(inner) x len(inner) determinant is
+  eliminated,
 * ``skew_syt_char``   -- a character sum over classes of the inner weight.
 
 The three agree on every valid input; the test suite asserts this, and
@@ -12,6 +13,15 @@ higher layers pick whichever is cheapest for their regime.  ``routes()`` is
 the one list of them, by name, in the order the CLI's ``--method all`` runs
 them.  ``skew_syt_det`` never conjugates, so comparing it with its value on
 the conjugate shape compares two computations.
+
+``skew_syt_det`` keeps Aitken's beta-set matrix but never eliminates its
+Vandermonde block.  With ell = len(outer), k = len(inner) and m = ell - k,
+m levels of Newton divided differences on the k inner columns alone divide
+out the m falling-factorial columns.  Every quotient is exact, since the
+nodes are distinct integers and the entries integer polynomials in them.
+The node differences multiply to a known scale, and one k x k determinant
+is left for ``integer_det``: about k*m*ell + k**3 big-integer steps rather
+than ell**3.
 
 ``path_totals(top, floor)`` is the walk.  It keeps each shape as its beta
 set in bits (James-Kerber's abacus), so removing a corner is one integer
@@ -116,21 +126,40 @@ def skew_syt_det(shape: SkewShape) -> int:
 
     Aitken: f^(lam/alpha) = n! det[1/(lam_i - alpha_j - i + j)!], with
     1/m! = 0 for m < 0.  In the beta sets a_i = lam_i + ell - 1 - i and
-    b_j = alpha_j + ell - 1 - j that exponent is a_i - b_j, so scaling row i
-    by a_i! makes entry (i, j) the falling factorial perm(a_i, b_j), which
-    is 0 when b_j > a_i.  Column j holds a polynomial of degree b_j in a_i.
-    Rows and columns run in ascending beta order, the reverse of both axes,
-    which leaves the determinant and its sign unchanged: Bareiss then
-    eliminates the columns of lowest degree first (1, a_i, ... when alpha
-    is shorter than lam), so its intermediate minors stay Vandermonde-sized
-    instead of carrying the largest falling factorials through every step.
-    The final division by prod(a_i!) is checked by ``exact_div``.
+    b_j = alpha_j + ell - 1 - j, with alpha padded by zeros to ell rows,
+    that exponent is a_i - b_j, so scaling row i by a_i! makes entry (i, j)
+    the falling factorial perm(a_i, b_j), a polynomial of degree b_j in a_i
+    (0 when b_j > a_i).  Both axes run in ascending beta order, which keeps
+    the determinant and its sign.  With k = len(alpha) and m = ell - k, the
+    first m columns are then the falling factorials (a)_0, ..., (a)_(m-1):
+    a Vandermonde block, eliminated in closed form by Newton's divided
+    differences.  Level r = 1..m keeps the first of the ell - r + 1 rows
+    left and replaces the rest by (row_(i+1) - row_i) / (a_(i+r) - a_i) for
+    i < ell - r.  That triangular row operation turns column r - 1, which is
+    1 on every row left (the leading coefficient of (a)_(r-1)), into
+    1, 0, ..., 0, and expanding along it drops the kept row.  So the
+    determinant is the scale prod_(r=1..m) prod_(i<ell-r) (a_(i+r) - a_i)
+    times the k x k determinant of the m-th divided differences of the k
+    inner columns, and only that one goes to ``integer_det``.  Each ``//``
+    is exact: the nodes are distinct integers and perm(x, b) has integer
+    coefficients in x, so every divided difference is an integer, just as
+    each Bareiss quotient is.  The cost is about k*m*ell + k**3 big-integer
+    steps instead of ell**3.  The final division by prod(a_i!) is checked
+    by ``exact_div``.
     """
     lam, alpha = shape.outer, shape.inner
-    padded = alpha + (0,) * (len(lam) - len(alpha))
+    ell = len(lam)
+    m = ell - len(alpha)
     a = [p + i for i, p in enumerate(reversed(lam))]
-    b = [p + j for j, p in enumerate(reversed(padded))]
-    numerator = factorial(shape.size) * integer_det([[perm(ai, bj) for bj in b] for ai in a])
+    scale = prod(a[i + r] - a[i] for r in range(1, m + 1) for i in range(ell - r))
+    columns = []
+    for j, p in enumerate(reversed(alpha)):
+        column = [perm(ai, p + m + j) for ai in a]
+        for r in range(1, m + 1):
+            column = [(column[i + 1] - column[i]) // (a[i + r] - a[i]) for i in range(ell - r)]
+        columns.append(column)
+    # det is invariant under transposition, so the columns go in as rows
+    numerator = factorial(shape.size) * scale * integer_det(columns)
     return exact_div(numerator, prod(map(factorial, a)), "determinant count for %s/%s", lam, alpha)
 
 

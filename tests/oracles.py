@@ -5,6 +5,9 @@ no code with the library's own.
 independently of the layered border-strip rule.  ``schur_sum_identity_check``
 checks the Schur-sum identity behind the acceptance suite's criterion 12.
 ``leibniz_det`` is the permutation-sum determinant, with no elimination.
+``aitken_full_count`` is f^(lam/alpha) by Bareiss over Aitken's whole
+``len(lam) x len(lam)`` beta-set matrix, the check on ``skew_syt_det``'s
+Newton reduction of that matrix to ``len(alpha) x len(alpha)``.
 ``hook_length_count`` is f^lam by the hook-length formula, the check on the
 library's Frobenius count ``syt_count``.
 ``boxed_partitions`` enumerates the partitions inside a box, and
@@ -26,13 +29,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from typing import Iterator
 
 from skewtab.asymptotics import _bulk_window, _window_rows_sum, schur_value
 from skewtab.characters import character, syt_count
+from skewtab.exact import integer_det
 from skewtab.partitions import (
     Partition,
+    SkewShape,
     centralizer_order,
     conjugate,
     partitions_of,
@@ -61,6 +66,22 @@ def leibniz_det(matrix: list[list[int]]) -> int:
             term *= matrix[row][col]
         total += term
     return total
+
+
+def aitken_full_count(shape: SkewShape) -> int:
+    """f^(lam/alpha) as n! det[perm(a_i, b_j)] / prod(a_i!) over all len(lam) beta rows.
+
+    a and b are the beta sets of lam and of alpha padded to len(lam) rows,
+    both ascending; the whole matrix goes to Bareiss.
+    """
+    lam, alpha = shape.outer, shape.inner
+    padded = alpha + (0,) * (len(lam) - len(alpha))
+    a = [p + i for i, p in enumerate(reversed(lam))]
+    b = [p + j for j, p in enumerate(reversed(padded))]
+    numerator = factorial(shape.size) * integer_det([[perm(ai, bj) for bj in b] for ai in a])
+    count, rem = divmod(numerator, prod(map(factorial, a)))
+    assert rem == 0, shape
+    return count
 
 
 def hook_length_count(lam: Partition) -> int:

@@ -97,11 +97,11 @@ def test_contain_text_output(capsys):
 
 
 @pytest.mark.parametrize("method", ["all", "direct", "expansion", "binomial"])
-def test_contain_negative_n_exits_2(capsys, method):
+def test_contain_negative_n_exits_7(capsys, method):
     code, out, err = run(capsys, ["contain", "--n", "-1", "--alpha", "2,1", "--method", method])
-    assert code == 2
+    assert code == 7
     assert out == ""
-    assert err == "error: n must be nonnegative\n"
+    assert err == "domain error: n must be nonnegative\n"
 
 
 def test_contain_probability_is_the_same_under_every_method(capsys):
@@ -139,11 +139,41 @@ def test_table_zero_rows_below_weight(capsys):
 @pytest.mark.parametrize(
     "flag, value", [("--max-k", "-1"), ("--max-k", "0"), ("--n-max", "-2")]
 )
-def test_table_negative_bound_exits_2(capsys, flag, value):
+def test_table_negative_bound_exits_7(capsys, flag, value):
     code, out, err = run(capsys, ["table", flag, value])
-    assert code == 2
+    assert code == 7
     assert out == ""
-    assert err.startswith("error: ") and flag in err
+    assert err.startswith("domain error: ") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "asym tn --n 0",
+        "asym tn --n 5 --order 3",
+        "asym shift --n 5 --m 10",
+        "asym shift --n 5 --m -1",
+        "asym mass --n 10 --eps 0",
+        "asym mass --n 0",
+        "asym prob --n 0 --alpha 1",
+        "asym vk --alpha 1 --a 1/2,1/2 --m 0",
+        "contain --n -1 --alpha 2,1",
+        "table --max-k 0",
+        "table --n-max -1",
+    ],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_number_outside_its_domain_exits_7_with_empty_stdout(capsys, argv, json_flag):
+    code, out, err = run(capsys, argv.split() + json_flag)
+    assert code == cli.EXIT_DOMAIN == 7
+    assert out == ""
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+
+
+def test_domain_error_is_an_exported_value_error():
+    assert issubclass(skewtab.DomainError, ValueError)
+    with pytest.raises(skewtab.DomainError, match="^n must be nonnegative$"):
+        containment.N_direct(-1, (2, 1))
 
 
 def test_asym_tn(capsys):
@@ -373,7 +403,7 @@ def test_rejected_asym_arguments_build_no_table_of_t(capsys, argv, message):
     cached = len(sequences._t)
     assert cached <= 5000
     try:
-        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+        assert run(capsys, argv) == (7, "", f"domain error: {message}\n")
         assert len(sequences._t) == cached
     finally:
         del sequences._t[cached:]

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skewtab
+from oracles import aitken_full_count
+from skewtab import skew_count
 from skewtab.characters import syt_count
-from skewtab.exact import IntegralityError
+from skewtab.exact import IntegralityError, integer_det
 from skewtab.partitions import (
     InvalidSkewShapeError,
     SkewShape,
@@ -215,6 +217,8 @@ def test_three_routes_agree_on_random_shapes(shape):
         ((30,) + (1,) * 30, (2,)),
         ((20,) * 20, (5, 3, 1)),
         (tuple(range(10, 0, -1)), (3, 2, 1)),
+        ((161, 81) + (1,) * 80, (3, 2)),
+        ((321, 161) + (1,) * 160, (3, 2)),
     ],
 )
 def test_det_agrees_with_char_and_its_conjugate_on_large_shapes(outer, inner):
@@ -223,6 +227,41 @@ def test_det_agrees_with_char_and_its_conjugate_on_large_shapes(outer, inner):
     assert count > 0
     assert skew_syt_char(shape) == count
     assert skew_syt_det(shape.conjugate()) == count
+
+
+def test_det_equals_full_aitken_matrix():
+    pairs = list(small_skew_pairs(12, 12))
+    assert len(pairs) == 8855
+    for shape in pairs:
+        assert skew_syt_det(shape) == aitken_full_count(shape), shape
+    # 2-40 rows, inner of 0, 1, 2, ell // 2, ell - 1 and ell rows: every m from ell to 0
+    rng = random.Random(2024)
+    for _ in range(50):
+        ell = rng.randint(2, 40)
+        outer = tuple(sorted((rng.randint(1, 12) for _ in range(ell)), reverse=True))
+        for rows in sorted({0, 1, 2, ell // 2, ell - 1, ell}):
+            inner = []
+            for part in outer[:rows]:
+                inner.append(rng.randint(1, min(part, inner[-1]) if inner else part))
+            shape = SkewShape(outer, tuple(inner))
+            assert skew_syt_det(shape) == aitken_full_count(shape), shape
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [((), ()), ((5, 3), ()), ((4, 3, 1), (2, 1)), ((3, 3, 3), (3, 3, 3)), ((20,) * 20, (5, 3, 1))],
+)
+def test_det_eliminates_one_inner_sized_matrix(monkeypatch, outer, inner):
+    sizes = []
+
+    def recording_det(matrix):
+        sizes.append([len(row) for row in matrix])
+        return integer_det(matrix)
+
+    monkeypatch.setattr(skew_count, "integer_det", recording_det)
+    shape = SkewShape(outer, inner)
+    assert skew_syt_det(shape) == aitken_full_count(shape)
+    assert sizes == [[len(inner)] * len(inner)]
 
 
 def test_conjugation_symmetry():
