@@ -54,7 +54,6 @@ from .asymptotics import (
     containment_probability_estimate,
     exp_estimate,
     mw_log_involutions_estimate,
-    mw_log_shifted_estimate,
     rectangle_factorization,
     relative_error,
     schur_value,

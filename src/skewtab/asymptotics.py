@@ -2,7 +2,11 @@
 
 Estimates live in floating point (log-domain where magnitudes explode);
 every comparison against exact data happens on the rational side.  The
-TVK/super-Schur layer is exact rational arithmetic throughout: the limiting
+involution numbers have one Moser-Wyman estimator,
+``mw_log_involutions_estimate(n, order, j)``: t_n at j = 0, and t_{n-j}
+written in terms of n otherwise.
+
+The TVK/super-Schur layer is exact rational arithmetic throughout: the limiting
 ratio f^(lam/alpha) / f^lam under row/column frequencies (a; b) is the
 super-Schur value s_alpha(a / -b), computed as the Jacobi-Trudi determinant
 det[h_{alpha_i - i + j}] with sum_r h_r t^r = prod_j (1 + b_j t) /
@@ -69,40 +73,26 @@ class LimitSpec(namedtuple("LimitSpec", "a b")):
         return sum(self.a, Fraction(0)) + sum(self.b, Fraction(0))
 
 
-def mw_log_involutions_estimate(n: int, order: int = 2) -> float:
-    """Natural log of the involution-number estimate with ``order`` corrections.
+def mw_log_involutions_estimate(n: int, order: int = 2, j: int = 0) -> float:
+    """Natural log of the Moser-Wyman estimate of t_{n-j}, written in terms of n.
 
-    Leading term (1/sqrt 2) n^(n/2) exp(-n/2 + sqrt n - 1/4); corrections
-    1 + 7/(24 sqrt n) - 119/(1152 n).
+    (1/sqrt 2) n^((n-j)/2) exp(-n/2 + sqrt n - 1/4) times
+    1 + (7/24 - j/2)/sqrt n - (119/1152 + 7j/48 - 3j**2/8)/n, cut after
+    ``order`` corrections; j = 0 is the expansion of t_n itself.
     """
     if n < 1:
         raise DomainError("n must be positive")
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
-    root = math.sqrt(n)
-    log_lead = -0.5 * math.log(2) + 0.5 * n * math.log(n) - 0.5 * n + root - 0.25
-    corr = 1.0
-    if order >= 1:
-        corr += 7 / (24 * root)
-    if order >= 2:
-        corr -= 119 / (1152 * n)
-    return log_lead + math.log(corr)
-
-
-def mw_log_shifted_estimate(n: int, j: int) -> float:
-    """Natural log of the t_{n-j} estimate written in terms of n.
-
-    (1/sqrt 2) n^((n-j)/2) exp(-n/2 + sqrt n - 1/4) times
-    1 + (7/24 - j/2)/sqrt n - (119/1152 + 7j/48 - 3j**2/8)/n; at j = 0 this
-    is exactly the order-2 estimate for t_n.
-    """
-    if n < 1:
-        raise DomainError("n must be positive")
     if not 0 <= j <= n:
         raise DomainError("need 0 <= j <= n")
     root = math.sqrt(n)
     log_lead = -0.5 * math.log(2) + 0.5 * (n - j) * math.log(n) - 0.5 * n + root - 0.25
-    corr = 1 + (7 / 24 - j / 2) / root - (119 / 1152 + 7 * j / 48 - 3 * j * j / 8) / n
+    corr = 1.0
+    if order >= 1:
+        corr += (7 / 24 - j / 2) / root
+    if order >= 2:
+        corr -= (119 / 1152 + 7 * j / 48 - 3 * j * j / 8) / n
     if corr <= 0:
         raise DomainError("correction factor is not positive; j is too large for n")
     return log_lead + math.log(corr)

@@ -19,9 +19,9 @@ messages are argparse's own.
 
 The skew and containment routes, and so the ``--method`` choices, are read
 from ``skew_count.routes()`` and ``containment.routes()``.  The ``asym``
-kinds are the keys of ``_ASYM``: ``tn`` and ``shift`` (Moser-Wyman estimates
-of t_n and t_{n-m}), ``prob`` (P(n; alpha)), ``vk`` (two-row limit ratio)
-and ``mass`` (bulk mass).
+kinds are the keys of ``_ASYM``: ``tn`` and ``shift`` (t_n and t_{n-m} by
+the one Moser-Wyman estimator, ``mw_log_involutions_estimate``), ``prob``
+(P(n; alpha)), ``vk`` (two-row limit ratio) and ``mass`` (bulk mass).
 
 Exit codes: 0 ok (all requested agreement flags true), 1 disagreement,
 2 parse error (text that does not parse, a non-partition, or frequencies
@@ -30,7 +30,9 @@ that ``LimitSpec`` or the TVK total refuses), 3 invalid skew shape,
 limit (a route asked for an input past its documented cap, such as the
 brute route above 25 cells; stdout stays empty), 7 domain error (a
 well-formed number outside its function's domain, such as
-``contain --n -1`` or ``asym mass --eps 0``; ``domain error: ...`` on
+``contain --n -1``, ``asym mass --eps 0``, or an ``asym vk --alpha`` that
+does not fit in ``(m, m)``, as in ``asym vk --alpha 6 --a 1/2,1/2 --m 5``
+or ``asym vk --alpha 2,2,1 --a 1/2,1/2 --m 5``; ``domain error: ...`` on
 stderr, stdout stays empty), 141 (128 + SIGPIPE) the reader closed stdout
 before the output was written, with nothing on stderr.
 """
@@ -51,6 +53,7 @@ from .exact import DomainError, IntegralityError
 from .partitions import (
     InvalidSkewShapeError,
     SkewShape,
+    contains,
     format_partition,
     parse_partition,
     partitions_of,
@@ -317,8 +320,10 @@ def _asym_vk(args) -> tuple[dict, list[str]]:
         raise ValueError("TVK frequencies must sum to exactly 1")
     if args.m < 1:
         raise DomainError("kind=vk needs --m >= 1 (the two-row size)")
-    estimate = asymptotics.super_schur_value(alpha, spec.a, spec.b)
     lam = (args.m, args.m)
+    if not contains(lam, alpha):
+        raise DomainError(f"kind=vk needs --alpha to fit in (--m, --m) = ({args.m},{args.m})")
+    estimate = asymptotics.super_schur_value(alpha, spec.a, spec.b)
     f_lam = skew_count.skew_syt_det(SkewShape(lam, ()))
     f_skew = skew_count.skew_syt_det(SkewShape(lam, alpha))
     exact_ratio = Fraction(f_skew, f_lam)
@@ -354,7 +359,7 @@ _ASYM = {
     ),
     "shift": lambda args: _asym_t(
         args.n - args.m,
-        asymptotics.mw_log_shifted_estimate(args.n, args.m),
+        asymptotics.mw_log_involutions_estimate(args.n, 2, args.m),
         f"t({args.n}-{args.m}) estimate",
     ),
     "prob": _asym_prob,

@@ -8,11 +8,13 @@
   eliminated,
 * ``skew_syt_char``   -- a character sum over classes of the inner weight.
 
-The three agree on every valid input; the test suite asserts this, and
-higher layers pick whichever is cheapest for their regime.  ``routes()`` is
-the one list of them, by name, in the order the CLI's ``--method all`` runs
-them.  ``skew_syt_det`` never conjugates, so comparing it with its value on
-the conjugate shape compares two computations.
+The three agree on every valid input; the test suite asserts this.  No
+layer picks among them: ``containment.N_direct`` and ``asym vk`` call
+``skew_syt_det`` directly, and the CLI's ``skew`` runs the routes its
+``--method`` names.  ``routes()`` is the one list of them, by name, in
+the order the CLI's ``--method all`` runs them.  ``skew_syt_det`` never
+conjugates, so comparing it with its value on the conjugate shape
+compares two computations.
 
 ``skew_syt_det`` keeps Aitken's beta-set matrix but never eliminates its
 Vandermonde block.  With ell = len(outer), k = len(inner) and m = ell - k,

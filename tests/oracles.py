@@ -10,6 +10,10 @@ checks the Schur-sum identity behind the acceptance suite's criterion 12.
 Newton reduction of that matrix to ``len(alpha) x len(alpha)``.
 ``hook_length_count`` is f^lam by the hook-length formula, the check on the
 library's Frobenius count ``syt_count``.
+``mw_log_plain_reference`` and ``mw_log_shifted_reference`` are the two
+Moser-Wyman estimators of t_n and t_{n-j} that
+``mw_log_involutions_estimate(n, order, j)`` replaced, kept as they were,
+the check that the one estimator returns the same floats.
 ``boxed_partitions`` enumerates the partitions inside a box, and
 ``bulk_members`` lists the shapes of the bulk window with it; the window
 itself is read from the library's ``_bulk_window``, so the members check
@@ -27,6 +31,7 @@ library's ``character(alpha, (2, 1, ..., 1))`` that ``biane_estimate`` uses.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, perm, prod
@@ -34,7 +39,7 @@ from typing import Iterator
 
 from skewtab.asymptotics import _bulk_window, _window_rows_sum, schur_value
 from skewtab.characters import character, syt_count
-from skewtab.exact import integer_det
+from skewtab.exact import DomainError, integer_det
 from skewtab.partitions import (
     Partition,
     SkewShape,
@@ -91,6 +96,45 @@ def hook_length_count(lam: Partition) -> int:
     cols = [sum(1 for part in lam if part > j) for j in range(lam[0])]
     hooks = prod(part - j + cols[j] - i - 1 for i, part in enumerate(lam) for j in range(part))
     return factorial(sum(lam)) // hooks
+
+
+def mw_log_plain_reference(n: int, order: int = 2) -> float:
+    """Natural log of the involution-number estimate with ``order`` corrections.
+
+    Leading term (1/sqrt 2) n^(n/2) exp(-n/2 + sqrt n - 1/4); corrections
+    1 + 7/(24 sqrt n) - 119/(1152 n).
+    """
+    if n < 1:
+        raise DomainError("n must be positive")
+    if order not in (0, 1, 2):
+        raise DomainError("order must be 0, 1 or 2")
+    root = math.sqrt(n)
+    log_lead = -0.5 * math.log(2) + 0.5 * n * math.log(n) - 0.5 * n + root - 0.25
+    corr = 1.0
+    if order >= 1:
+        corr += 7 / (24 * root)
+    if order >= 2:
+        corr -= 119 / (1152 * n)
+    return log_lead + math.log(corr)
+
+
+def mw_log_shifted_reference(n: int, j: int) -> float:
+    """Natural log of the t_{n-j} estimate written in terms of n.
+
+    (1/sqrt 2) n^((n-j)/2) exp(-n/2 + sqrt n - 1/4) times
+    1 + (7/24 - j/2)/sqrt n - (119/1152 + 7j/48 - 3j**2/8)/n; at j = 0 this
+    is exactly the order-2 estimate for t_n.
+    """
+    if n < 1:
+        raise DomainError("n must be positive")
+    if not 0 <= j <= n:
+        raise DomainError("need 0 <= j <= n")
+    root = math.sqrt(n)
+    log_lead = -0.5 * math.log(2) + 0.5 * (n - j) * math.log(n) - 0.5 * n + root - 0.25
+    corr = 1 + (7 / 24 - j / 2) / root - (119 / 1152 + 7 * j / 48 - 3 * j * j / 8) / n
+    if corr <= 0:
+        raise DomainError("correction factor is not positive; j is too large for n")
+    return log_lead + math.log(corr)
 
 
 def _boxed_parts(n: int, max_part: int, max_len: int) -> Iterator[Partition]:

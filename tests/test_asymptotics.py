@@ -14,7 +14,6 @@ from skewtab.asymptotics import (
     containment_probability_estimate,
     exp_estimate,
     mw_log_involutions_estimate,
-    mw_log_shifted_estimate,
     rectangle_factorization,
     relative_error,
     schur_value,
@@ -23,6 +22,7 @@ from skewtab.asymptotics import (
 )
 from skewtab.characters import syt_count
 from skewtab.containment import containment_probability
+from skewtab.exact import DomainError
 from skewtab.partitions import SkewShape, conjugate, partitions_of
 from skewtab.sequences import involutions
 from skewtab.skew_count import skew_syt_det
@@ -30,6 +30,8 @@ from skewtab.skew_count import skew_syt_det
 from oracles import (
     bulk_members,
     hook_length_count,
+    mw_log_plain_reference,
+    mw_log_shifted_reference,
     power_sum,
     schur_sum_identity_check,
     super_schur_power_sum,
@@ -109,14 +111,37 @@ def test_mw_error_decreases_with_order():
         assert errs[0] > errs[1] > errs[2]
 
 
-def test_mw_shifted_reduces_to_plain_at_j_zero():
-    for n in (10, 50, 400):
-        assert mw_log_shifted_estimate(n, 0) == mw_log_involutions_estimate(n, 2)
+def estimate_or_error(estimate, *args):
+    """The float an estimator returns, or the type and message of what it raises."""
+    try:
+        return estimate(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_mw_one_estimator_gives_the_floats_of_the_two_it_replaced():
+    # == on floats, not approx: t_n and t_{n-j} keep their old values bit for bit
+    for n in range(1, 20001):
+        for order in (0, 1, 2):
+            new = mw_log_involutions_estimate(n, order)
+            assert new == mw_log_plain_reference(n, order), (n, order)
+    for n in range(1, 3001):
+        for j in range(min(n, 60) + 1):
+            new = estimate_or_error(mw_log_involutions_estimate, n, 2, j)
+            assert new == estimate_or_error(mw_log_shifted_reference, n, j), (n, j)
+    for n, order, j in [(0, 2, 0), (-3, 2, 0), (0, 3, -1), (10, 2, -1), (10, 2, 11)]:
+        new = estimate_or_error(mw_log_involutions_estimate, n, order, j)
+        assert new == estimate_or_error(mw_log_shifted_reference, n, j), (n, j)
+        assert new[0] is DomainError
+    for n, order in [(0, 0), (10, 3), (10, -1), (0, 3)]:
+        new = estimate_or_error(mw_log_involutions_estimate, n, order)
+        assert new == estimate_or_error(mw_log_plain_reference, n, order), (n, order)
+        assert new[0] is DomainError
 
 
 def test_mw_shifted_accuracy():
-    assert abs(relative_error(mw_log_shifted_estimate(100, 3), involutions(97))) < 0.005
-    assert abs(relative_error(mw_log_shifted_estimate(400, 3), involutions(397))) < 0.0005
+    assert abs(relative_error(mw_log_involutions_estimate(100, 2, 3), involutions(97))) < 0.005
+    assert abs(relative_error(mw_log_involutions_estimate(400, 2, 3), involutions(397))) < 0.0005
 
 
 SERIES_ORDER = 4  # x^0..x^4: a series divided by x^2 stays exact to x^2
@@ -191,7 +216,8 @@ def test_mw_shifted_constants_derive_from_the_involution_estimate():
         for j, (_, d1, d2) in derived.items():
             log_lead = mw_log_involutions_estimate(n, 0) - j / 2 * math.log(n)
             expected = log_lead + math.log(1 + float(d1) / math.sqrt(n) + float(d2) / n)
-            assert mw_log_shifted_estimate(n, j) == pytest.approx(expected, rel=1e-12), (n, j)
+            shifted = mw_log_involutions_estimate(n, 2, j)
+            assert shifted == pytest.approx(expected, rel=1e-12), (n, j)
 
 
 def test_mw_domain_errors():
@@ -200,7 +226,7 @@ def test_mw_domain_errors():
     with pytest.raises(ValueError):
         mw_log_involutions_estimate(10, 3)
     with pytest.raises(ValueError):
-        mw_log_shifted_estimate(10, 11)
+        mw_log_involutions_estimate(10, 2, 11)
 
 
 # ------------------------------------------------- probability expansion

@@ -234,6 +234,24 @@ def test_asym_vk_rejects_what_limit_spec_rejects(capsys, a, b, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("alpha", ["6", "2,2,1", "6,6"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_asym_vk_alpha_outside_the_two_row_shape_exits_7(capsys, monkeypatch, alpha, json_flag):
+    # the user gave --alpha and --m, not a skew shape: a domain error, found
+    # before the limit or any exact count is computed
+    def refuse(*args):
+        raise AssertionError("computed for an alpha that does not fit")
+
+    monkeypatch.setattr(asymptotics, "super_schur_value", refuse)
+    monkeypatch.setattr(skew_count, "skew_syt_det", refuse)
+    argv = ["asym", "vk", "--alpha", alpha, "--a", "1/2,1/2", "--m", "5"] + json_flag
+    assert run(capsys, argv) == (
+        7,
+        "",
+        "domain error: kind=vk needs --alpha to fit in (--m, --m) = (5,5)\n",
+    )
+
+
 @pytest.mark.parametrize(
     "a, b", [("0", ""), ("1/2", ""), ("1/4", "1/4")], ids=["zero", "half", "half-split"]
 )
