@@ -19,7 +19,8 @@ listing them; the list itself is a test oracle that reads the same
 ``_bulk_window``.  The window is closed under conjugation and
 f^lam = f^lam', so only the shapes with lam_1 >= len(lam) are walked, each
 once: the sum over lam_1 > len(lam) is counted twice, the sum over
-lam_1 = len(lam) once.
+lam_1 = len(lam) once.  A window that holds every shape (lo = 1, hi >= n)
+has mass exactly 1 and is not walked.
 The growth constant C_3 of a rescaled limit shape is passed to
 ``biane_estimate`` directly.
 """
@@ -225,9 +226,12 @@ def bulk_mass(n: int, eps) -> Fraction:
     length split its first parts, so each member is placed once.  A member
     whose remaining rows are all 1 is closed in one step, not one frame per
     row.  Nothing is sized by the window's upper bound, which can be huge
-    for large eps.
+    for large eps.  A window with lo = 1 and hi >= n holds every shape of n
+    cells, so its mass is exactly 1 and nothing is walked.
     """
     lo, hi = _bulk_window(n, eps)
+    if lo == 1 and hi >= n:
+        return Fraction(1)  # every first part and length lies in [1, n]
     total = 0
     for ell in range(lo, min(hi, (n + 1) // 2) + 1):
         total += 2 * _window_rows_sum(n, ell, ell + 1, hi) + _window_rows_sum(n, ell, ell, ell)

@@ -414,8 +414,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument("--alpha", default="", help="shape for prob/vk kinds")
     p_asym.add_argument("--order", type=int, default=2, help="corrections for kind=tn")
     p_asym.add_argument("--eps", default="1/2", help="window width for kind=mass")
-    p_asym.add_argument("--a", default="", help="row frequencies for kind=vk")
-    p_asym.add_argument("--b", default="", help="column frequencies for kind=vk")
+    total_one = "; --a and --b must sum to exactly 1, so kind=vk needs at least one of them"
+    p_asym.add_argument("--a", default="", help="row frequencies for kind=vk" + total_one)
+    p_asym.add_argument("--b", default="", help="column frequencies for kind=vk" + total_one)
     p_asym.add_argument(
         "--m", type=int, default=0, help="two-row size for kind=vk; shift for kind=shift"
     )

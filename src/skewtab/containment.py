@@ -18,7 +18,10 @@ of ``characters``, so binomial and expansion stay independent.
 ``--method all`` runs them.  ``N_direct`` takes each determinant in the
 orientation with fewer rows: it conjugates alpha once and counts every lam
 longer than it is wide as ``f^(lam'/alpha')``, which equals
-``f^(lam/alpha)``.  Every route raises DomainError for a negative n
+``f^(lam/alpha)``.  It validates alpha once and hands the determinant
+plain ``(lam, alpha)`` pairs, with no ``SkewShape`` per lam.
+``N_expansion`` brings its coefficients to one denominator and divides
+once.  Every route raises DomainError for a negative n
 and returns 0 for 0 <= n < |alpha|.
 
 ``CLOSED_FORMS`` freezes the classical closed forms for every shape with at
@@ -31,13 +34,12 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .characters import character_column
 from .exact import DomainError, IntegralityError, exact_div
 from .partitions import (
     Partition,
-    SkewShape,
     centralizer_order,
     conjugate,
     contains,
@@ -98,6 +100,10 @@ def N_direct(n: int, alpha: Partition) -> int:
     longer than it is wide is counted as f^(lam'/alpha').  Its Newton
     levels run over those min(len(lam), lam[0]) rows, and the matrix left
     for ``integer_det`` is len(alpha) wide, or len(alpha') when conjugated.
+    alpha is validated once; every lam from ``partitions_of`` that contains
+    it goes to the determinant as a plain ``(lam, alpha)`` pair, or
+    ``(lam', alpha')``, with no ``SkewShape`` built per lam.  Each
+    determinant keeps its own checked division.
     """
     alpha = validate_partition(alpha)
     if n < 0:
@@ -111,26 +117,32 @@ def N_direct(n: int, alpha: Partition) -> int:
         if len(lam) < len(alpha) or not contains(lam, alpha):
             continue
         if lam and len(lam) > lam[0]:
-            total += skew_syt_det(SkewShape(conjugate(lam), alpha_t))
+            total += skew_syt_det((conjugate(lam), alpha_t))
         else:
-            total += skew_syt_det(SkewShape(lam, alpha))
+            total += skew_syt_det((lam, alpha))
     return total
 
 
 def N_expansion(n: int, alpha: Partition) -> int:
-    """N(n; alpha) as sum_j e_j(alpha) t_{n-j}; zero for 0 <= n < |alpha|."""
+    """N(n; alpha) as sum_j e_j(alpha) t_{n-j}; zero for 0 <= n < |alpha|.
+
+    The e_j are brought to one denominator D, the lcm of theirs, so the sum
+    is sum_j num_j * (D / den_j) * t_{n-j} in integers, and the one division
+    by D is checked by ``exact_div``.
+    """
     alpha = validate_partition(alpha)
     if n < 0:
         raise DomainError("n must be nonnegative")
     k = sum(alpha)
     if n < k:
         return 0
-    total = Fraction(0)
-    for j in range(k + 1):
-        coeff = t_shift_coeff(j, alpha)
-        if coeff:
-            total += coeff * involutions(n - j)
-    return exact_div(total.numerator, total.denominator, "N(%d; %s) expansion", n, alpha)
+    coeffs = [t_shift_coeff(j, alpha) for j in range(k + 1)]
+    den = lcm(*(coeff.denominator for coeff in coeffs))
+    total = sum(
+        coeff.numerator * (den // coeff.denominator) * involutions(n - j)
+        for j, coeff in enumerate(coeffs)
+    )
+    return exact_div(total, den, "N(%d; %s) expansion", n, alpha)
 
 
 def N_binomial(n_plus_k: int, alpha: Partition) -> int:

@@ -6,9 +6,14 @@ partitions can key memo tables directly, and all operations here are pure,
 which makes them safe to share across threads.
 
 Both enumerations, ``partitions_of(n)`` (every partition of n) and
-``partitions_no_small_parts(j)`` (no part below 3), run one generator.
+``partitions_no_small_parts(j)`` (no part below 3), run one iterative
+generator with a smallest-part bound: it steps one list from each
+partition to the next in reverse-lex order, so no enumeration recurses on
+the number of parts.
 A ``SkewShape`` is validated on every construction, ``conjugate()``
-included.
+included.  A loop that already holds valid pairs, ``containment.N_direct``,
+hands ``skew_count.skew_syt_det`` plain ``(outer, inner)`` tuples instead
+and builds no ``SkewShape`` per shape.
 
 Text syntax (used by the CLI and test fixtures): comma-separated parts,
 e.g. ``"6,6,5,4,2,1"``; the empty string denotes the empty partition.
@@ -100,16 +105,47 @@ def centralizer_order(mu: Partition) -> int:
     return z
 
 
-def _descending_parts(n: int, largest: int, smallest: int) -> Iterator[Partition]:
+def _descending_parts(n: int, smallest: int) -> Iterator[Partition]:
+    """Partitions of n with no part below ``smallest``, in reverse-lex order.
+
+    One list steps from each partition to the next, without recursion.  The
+    step shrinks the rightmost part that can shrink, to the largest x that
+    can follow the parts before it: part i can become x < parts[i] when the
+    r = sum(parts[i:]) - x cells after it fit in parts from ``smallest`` to
+    x, which holds iff ceil(r / x) * smallest <= r.  The r cells are then
+    refilled in the largest way, one run of equal parts at a time: each run
+    takes the largest part whose remainder still fits, as often as it can.
+    """
     if n == 0:
         yield ()
         return
-    for first in range(min(n, largest), smallest - 1, -1):
-        rest = n - first
-        if rest and rest < smallest:
-            continue
-        for tail in _descending_parts(rest, first, smallest):
-            yield (first,) + tail
+    if n < smallest:
+        return
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        i = len(parts)
+        left = x = 0
+        while x < smallest:
+            if not i:
+                return
+            i -= 1
+            left += parts[i]
+            x = parts[i] - 1
+            while x >= smallest and -(-(left - x) // x) * smallest > left - x:
+                x -= 1
+        del parts[i:]
+        while left:
+            x = min(x, left)
+            while -(-(left - x) // x) * smallest > left - x:
+                x -= 1
+            # j copies of x leave a remainder that fits iff
+            # j * (x - smallest) <= left - ceil(left / x) * smallest
+            copies = left // x
+            if x > smallest:
+                copies = min(copies, (left + (-left // x) * smallest) // (x - smallest))
+            parts += [x] * copies
+            left -= copies * x
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -119,14 +155,14 @@ def partitions_of(n: int) -> Iterator[Partition]:
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    yield from _descending_parts(n, n, 1)
+    yield from _descending_parts(n, 1)
 
 
 def partitions_no_small_parts(j: int) -> Iterator[Partition]:
     """Partitions of j whose every part is at least 3 (reverse-lex order)."""
     if j < 0:
         raise DomainError("j must be nonnegative")
-    yield from _descending_parts(j, j, 3)
+    yield from _descending_parts(j, 3)
 
 
 def contains(lam: Partition, alpha: Partition) -> bool:

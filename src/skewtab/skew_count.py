@@ -16,7 +16,10 @@ the order the CLI's ``--method all`` runs them.  ``skew_syt_det`` never
 conjugates, so comparing it with its value on the conjugate shape
 compares two computations.
 
-``skew_syt_det`` keeps Aitken's beta-set matrix but never eliminates its
+``skew_syt_det`` takes a ``SkewShape`` or a plain ``(outer, inner)`` pair
+that is already valid, so a caller that enumerates its own valid pairs
+(``containment.N_direct``) pays for no ``SkewShape`` validation per pair.
+It keeps Aitken's beta-set matrix but never eliminates its
 Vandermonde block.  With ell = len(outer), k = len(inner) and m = ell - k,
 m levels of Newton divided differences on the k inner columns alone divide
 out the m falling-factorial columns.  Every quotient is exact, since the
@@ -123,8 +126,13 @@ def skew_syt_brute(shape: SkewShape) -> int:
     return path_totals(shape.outer, shape.inner)[-1]
 
 
-def skew_syt_det(shape: SkewShape) -> int:
+def skew_syt_det(shape: tuple[Partition, Partition]) -> int:
     """Count skew SYT via the factorial determinant.
+
+    ``shape`` is a ``SkewShape`` or any ``(outer, inner)`` pair of
+    partitions that is already valid: nothing here validates the pair, so
+    a caller that builds its own pairs (``containment.N_direct``) must hand
+    in weakly decreasing positive parts with the inner inside the outer.
 
     Aitken: f^(lam/alpha) = n! det[1/(lam_i - alpha_j - i + j)!], with
     1/m! = 0 for m < 0.  In the beta sets a_i = lam_i + ell - 1 - i and
@@ -149,7 +157,7 @@ def skew_syt_det(shape: SkewShape) -> int:
     steps instead of ell**3.  The final division by prod(a_i!) is checked
     by ``exact_div``.
     """
-    lam, alpha = shape.outer, shape.inner
+    lam, alpha = shape
     ell = len(lam)
     m = ell - len(alpha)
     a = [p + i for i, p in enumerate(reversed(lam))]
@@ -161,7 +169,7 @@ def skew_syt_det(shape: SkewShape) -> int:
             column = [(column[i + 1] - column[i]) // (a[i + r] - a[i]) for i in range(ell - r)]
         columns.append(column)
     # det is invariant under transposition, so the columns go in as rows
-    numerator = factorial(shape.size) * scale * integer_det(columns)
+    numerator = factorial(sum(lam) - sum(alpha)) * scale * integer_det(columns)
     return exact_div(numerator, prod(map(factorial, a)), "determinant count for %s/%s", lam, alpha)
 
 

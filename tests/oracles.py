@@ -14,6 +14,9 @@ library's Frobenius count ``syt_count``.
 Moser-Wyman estimators of t_n and t_{n-j} that
 ``mw_log_involutions_estimate(n, order, j)`` replaced, kept as they were,
 the check that the one estimator returns the same floats.
+``recursive_descending_parts`` is the recursive partition generator that
+the library's iterative one replaced, kept as it was: the check that
+``partitions_of`` and ``partitions_no_small_parts`` keep their order.
 ``boxed_partitions`` enumerates the partitions inside a box, and
 ``bulk_members`` lists the shapes of the bulk window with it; the window
 itself is read from the library's ``_bulk_window``, so the members check
@@ -135,6 +138,24 @@ def mw_log_shifted_reference(n: int, j: int) -> float:
     if corr <= 0:
         raise DomainError("correction factor is not positive; j is too large for n")
     return log_lead + math.log(corr)
+
+
+def recursive_descending_parts(n: int, largest: int, smallest: int) -> Iterator[Partition]:
+    """Partitions of n with parts in [smallest, largest], in reverse-lex order.
+
+    One recursion level per part: the first part runs down from
+    min(n, largest), and the rest is the same enumeration of what is left
+    with that first part as its largest.
+    """
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), smallest - 1, -1):
+        rest = n - first
+        if rest and rest < smallest:
+            continue
+        for tail in recursive_descending_parts(rest, first, smallest):
+            yield (first,) + tail
 
 
 def _boxed_parts(n: int, max_part: int, max_len: int) -> Iterator[Partition]:

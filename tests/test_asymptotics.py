@@ -6,8 +6,10 @@ from functools import cache
 
 import pytest
 
+from skewtab import asymptotics
 from skewtab.asymptotics import (
     LimitSpec,
+    _bulk_window,
     _window_rows_sum,
     biane_estimate,
     bulk_mass,
@@ -425,6 +427,38 @@ def test_bulk_mass_is_one_when_window_holds_every_shape():
         assert bulk_mass(n, 3) == 1
     # nothing is sized by the window's upper bound
     assert bulk_mass(5, Fraction(10**400)) == 1
+
+
+def test_bulk_mass_walks_no_window_that_holds_every_shape(monkeypatch):
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return _window_rows_sum(*args)
+
+    def refuse(*args):
+        raise AssertionError("walked a window that holds every shape")
+
+    hooks = cache(hook_length_count)
+    trivial = 0
+    for n, eps in [(n, eps) for n in range(1, 31) for eps in BULK_EPS_GRID] + [(70, 10)]:
+        lo, hi = _bulk_window(n, eps)
+        holds_every_shape = lo == 1 and hi >= n
+        trivial += holds_every_shape
+        monkeypatch.setattr(asymptotics, "_window_rows_sum", refuse if holds_every_shape else counted)
+        mass = bulk_mass(n, eps)
+        if n <= 30:
+            assert mass * involutions(n) == sum(map(hooks, bulk_members(n, eps))), (n, eps)
+        if holds_every_shape:
+            assert mass == 1, (n, eps)
+    assert trivial > 1 and walks
+    # the strict upper bound at the edge: (2 + 3)**2 * 25 = 25**2, so hi = 24
+    # leaves (25) and (1^25) out, and that window is walked
+    assert _bulk_window(25, 3) == (1, 24)
+    monkeypatch.setattr(asymptotics, "_window_rows_sum", counted)
+    walks.clear()
+    assert bulk_mass(25, 3) == 1 - Fraction(2, involutions(25))
+    assert walks
 
 
 # computed by the hook-length route over the enumerated members

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewtab import containment, skew_count
+from skewtab import cli, containment, skew_count
 from skewtab.characters import character, syt_count
 from skewtab.containment import (
     CLOSED_FORMS,
@@ -18,7 +18,8 @@ from skewtab.containment import (
     stability_check,
     t_shift_coeff,
 )
-from skewtab.partitions import conjugate, partitions_of
+from skewtab.exact import IntegralityError
+from skewtab.partitions import conjugate, contains, partitions_of
 from skewtab.sequences import b_stable, involutions
 from skewtab.skew_count import skew_syt_det
 
@@ -211,12 +212,61 @@ def test_per_shape_loops_take_the_orientation_with_fewer_rows(monkeypatch):
     outers = []
 
     def recording_det(shape):
-        outers.append(shape.outer)
+        outers.append(shape[0])
         return skew_syt_det(shape)
 
     monkeypatch.setattr(containment, "skew_syt_det", recording_det)
     assert N_direct(12, (2, 1, 1)) == N_expansion(12, (2, 1, 1))
     assert outers and all(len(lam) <= lam[0] for lam in outers)
+
+
+@pytest.mark.parametrize("n, alpha", [(12, (2, 1, 1)), (10, (3, 1)), (9, (1,) * 4), (8, ()), (7, (4, 3))])
+def test_direct_hands_the_det_every_containing_lam_as_a_plain_pair(monkeypatch, n, alpha):
+    pairs = []
+
+    def recording_det(shape):
+        pairs.append(shape)
+        return skew_syt_det(shape)
+
+    monkeypatch.setattr(containment, "skew_syt_det", recording_det)
+    assert N_direct(n, alpha) == N_expansion(n, alpha)
+    alpha_t = conjugate(alpha)
+    expected = [
+        (conjugate(lam), alpha_t) if lam and len(lam) > lam[0] else (lam, alpha)
+        for lam in partitions_of(n)
+        if contains(lam, alpha)
+    ]
+    assert pairs == expected
+    assert all(type(pair) is tuple for pair in pairs)
+
+
+def _with_one_coefficient_perturbed(monkeypatch, n, shift):
+    # adds t/(t + 1), t = t_{n-shift}, to the sum: never an integer
+    def perturbed(j, alpha):
+        coeff = t_shift_coeff(j, alpha)
+        return coeff + Fraction(1, involutions(n - j) + 1) if j == shift else coeff
+
+    monkeypatch.setattr(containment, "t_shift_coeff", perturbed)
+
+
+@pytest.mark.parametrize("alpha", [(2, 1), (3, 1, 1), (2, 2), (4,)])
+def test_expansion_checks_its_one_division(monkeypatch, alpha):
+    n = 9
+    for shift in range(sum(alpha) + 1):
+        with monkeypatch.context() as patch:
+            _with_one_coefficient_perturbed(patch, n, shift)
+            with pytest.raises(IntegralityError, match="expected an integer"):
+                N_expansion(n, alpha)
+    assert N_expansion(n, alpha) == N_direct(n, alpha)
+
+
+def test_expansion_with_one_coefficient_perturbed_exits_4(monkeypatch, capsys):
+    _with_one_coefficient_perturbed(monkeypatch, 9, 3)
+    code = cli.main(["contain", "--n", "9", "--alpha", "3,1", "--method", "expansion", "--json"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTEGRALITY == 4
+    assert captured.out == ""
+    assert captured.err.startswith("internal integrality violation:"), captured.err
 
 
 def test_binomial_route_runs_no_determinant(monkeypatch):

@@ -1,9 +1,13 @@
+import os
 import pickle
+import subprocess
+import sys
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+import skewtab
 from skewtab.partitions import (
     InvalidSkewShapeError,
     SkewShape,
@@ -19,7 +23,7 @@ from skewtab.partitions import (
     validate_partition,
 )
 
-from oracles import boxed_partitions
+from oracles import boxed_partitions, recursive_descending_parts
 
 
 # ---------------------------------------------------------------- oracles
@@ -227,6 +231,31 @@ def test_boxed_partitions_max_len_examples():
     assert list(boxed_partitions(6, 2, 2)) == []
     with pytest.raises(ValueError):
         list(boxed_partitions(3, 3, -1))
+
+
+def test_iterative_generator_keeps_the_recursive_order():
+    for n in range(41):
+        assert list(partitions_of(n)) == list(recursive_descending_parts(n, n, 1)), n
+        expected = list(recursive_descending_parts(n, n, 3))
+        assert list(partitions_no_small_parts(n)) == expected, n
+
+
+def test_partition_enumeration_stack_depth_does_not_grow_with_parts():
+    # A generator that recurses once per part needs about 30 frames for
+    # (1,) * 30 and fails at this limit; the iterative one does not.
+    script = (
+        "import sys\n"
+        "from skewtab.partitions import partitions_no_small_parts, partitions_of\n"
+        "sys.setrecursionlimit(15)\n"
+        "print(sum(1 for _ in partitions_of(30)), sum(1 for _ in partitions_no_small_parts(45)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(skewtab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"5604 {len(list(recursive_descending_parts(45, 45, 3)))}\n"
 
 
 def test_partitions_no_small_parts():

@@ -124,6 +124,13 @@ def test_brute_equals_det_up_to_10_cells():
         assert skew_syt_brute(shape) == skew_syt_det(shape), shape
 
 
+def test_det_takes_a_plain_pair_as_it_takes_a_skew_shape():
+    for shape in small_skew_pairs(10, 10):
+        pair = (shape.outer, shape.inner)
+        assert type(pair) is tuple
+        assert skew_syt_det(pair) == skew_syt_det(shape), shape
+
+
 def test_brute_stack_depth_does_not_grow_with_cells():
     # A recursive path count needs about one frame per cell, so it fails at
     # this limit on the 25-cell column; the level-by-level walk does not.
