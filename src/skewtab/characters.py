@@ -2,9 +2,11 @@
 
 Shapes are handled as beta sets: a partition lam of length ell is the
 strictly decreasing tuple of first-column hook lengths b_i = lam_i + ell - 1 - i.
-Both public counts finish on that tuple with Frobenius' formula
+Every count here finishes on that tuple with Frobenius' formula
 f^shape = m! prod_{i<j} (b_i - b_j) / prod_i b_i!, one checked ``exact_div``
-per shape (``_frobenius``), so the module has one f^shape formula.
+per shape (``_frobenius``), so the module has one f^shape formula and one
+path to it: ``syt_count(lam)`` is chi^lam on the identity class,
+``_column(lam, [()])``, which strips nothing and finishes at once.
 
 ``character`` and ``character_column`` apply the border-strip
 (Murnaghan-Nakayama) rule layer by layer, with no recursion.  A layer maps
@@ -18,14 +20,12 @@ coefficient times Frobenius' count.  A shape longer than it is wide starts
 from its conjugate with the sign of the class, chi^lam(mu) = sgn(mu)
 chi^lam'(mu), so the beta sets stay as short as the shorter of the two.
 ``character_column`` strips each distinct prefix of its classes' non-1
-parts once.  The identity class, which has no part >= 2, reads f^lam from
-``syt_count``.  Python recursion depth does not depend on the weight or the
+parts once.  Python recursion depth does not depend on the weight or the
 class.
 
 Memo policy: only ``syt_count`` is memoized, with an uncapped ``lru_cache``
 (thread-safe; at worst two threads compute the same deterministic value).
-The character layers are rebuilt on each call and read no table; only the
-identity class reads ``syt_count``'s.
+The character layers are rebuilt on each call and read no table.
 ``clear_character_cache()`` empties ``syt_count``'s table.
 """
 
@@ -58,10 +58,8 @@ def _frobenius(beta: Beta, m_factorial: int) -> int:
 
 @lru_cache(maxsize=None)
 def syt_count(lam: Partition) -> int:
-    """Number of standard Young tableaux of straight shape lam (Frobenius)."""
-    if lam and len(lam) > lam[0]:
-        lam = conjugate(lam)  # f^lam = f^lam', on the shorter beta set
-    return _frobenius(_beta(lam), factorial(sum(lam)))
+    """Number of standard Young tableaux of straight shape lam: chi^lam(1^n) (Frobenius)."""
+    return _column(lam, [()])[0]
 
 
 def _strip_layer(layer: dict[Beta, int], r: int) -> dict[Beta, int]:
@@ -97,9 +95,6 @@ def _column(lam: Partition, strips: list[Partition]) -> list[int]:
     done: Partition = ()
     for index in sorted(range(len(strips)), key=strips.__getitem__):
         parts = strips[index]
-        if not parts:
-            column[index] = syt_count(lam)  # the identity class: chi^lam(1^n) = f^lam
-            continue
         shared = 0
         while shared < min(len(done), len(parts)) and done[shared] == parts[shared]:
             shared += 1

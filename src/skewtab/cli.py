@@ -11,9 +11,9 @@ text lines printed instead of it.  The record's text is
 ``render_json`` without json's pure-Python encoder; each number is turned
 into digits once, and the text lines reuse those digits.
 
-Parsing: when the first argument names a subcommand, ``main`` parses the
-rest with that subcommand's parser alone, which is what the full parser
-would hand it.  Any other argv, and any argument the subcommand leaves
+Parsing: when argv starts with a command, ``skew`` or ``asym tn``, ``main``
+parses the rest with that command's parser alone, which is what the full
+parser would hand it.  Any other argv, and any argument the command leaves
 unrecognized, goes through the full parser, so usage, help and error
 messages are argparse's own.
 
@@ -22,6 +22,10 @@ from ``skew_count.routes()`` and ``containment.routes()``.  The ``asym``
 kinds are the keys of ``_ASYM``: ``tn`` and ``shift`` (t_n and t_{n-m} by
 the one Moser-Wyman estimator, ``mw_log_involutions_estimate``), ``prob``
 (P(n; alpha)), ``vk`` (two-row limit ratio) and ``mass`` (bulk mass).
+Each kind comes right after ``asym`` and accepts only the options its
+``_ASYM`` entry names, plus ``--json``; any other option exits 2 as an
+unrecognized argument.  Every ``asym`` record still echoes all the
+options of ``_ASYM_OPTIONS``, at their defaults where the kind reads none.
 
 Exit codes: 0 ok (all requested agreement flags true), 1 disagreement,
 2 parse error (text that does not parse, a non-partition, or frequencies
@@ -324,8 +328,8 @@ def _asym_vk(args) -> tuple[dict, list[str]]:
     if not contains(lam, alpha):
         raise DomainError(f"kind=vk needs --alpha to fit in (--m, --m) = ({args.m},{args.m})")
     estimate = asymptotics.super_schur_value(alpha, spec.a, spec.b)
-    f_lam = skew_count.skew_syt_det(SkewShape(lam, ()))
-    f_skew = skew_count.skew_syt_det(SkewShape(lam, alpha))
+    f_lam = skew_count.skew_syt_det((lam, ()))
+    f_skew = skew_count.skew_syt_det((lam, alpha))  # a valid pair: contains() held
     exact_ratio = Fraction(f_skew, f_lam)
     rel = float(estimate / exact_ratio - 1)
     results = {
@@ -350,28 +354,40 @@ def _asym_mass(args) -> tuple[dict, list[str]]:
     return results, lines
 
 
-# asym kind -> handler returning (results, text lines); tn and shift estimate first
+def _asym_tn(args) -> tuple[dict, list[str]]:
+    log_est = asymptotics.mw_log_involutions_estimate(args.n, args.order)
+    return _asym_t(args.n, log_est, f"t({args.n}) estimate (order {args.order})")
+
+
+def _asym_shift(args) -> tuple[dict, list[str]]:
+    log_est = asymptotics.mw_log_involutions_estimate(args.n, 2, args.m)
+    return _asym_t(args.n - args.m, log_est, f"t({args.n}-{args.m}) estimate")
+
+
+# asym kind -> (handler returning (results, text lines), the options it reads)
 _ASYM = {
-    "tn": lambda args: _asym_t(
-        args.n,
-        asymptotics.mw_log_involutions_estimate(args.n, args.order),
-        f"t({args.n}) estimate (order {args.order})",
-    ),
-    "shift": lambda args: _asym_t(
-        args.n - args.m,
-        asymptotics.mw_log_involutions_estimate(args.n, 2, args.m),
-        f"t({args.n}-{args.m}) estimate",
-    ),
-    "prob": _asym_prob,
-    "vk": _asym_vk,
-    "mass": _asym_mass,
+    "tn": (_asym_tn, ("n", "order")),
+    "shift": (_asym_shift, ("n", "m")),
+    "prob": (_asym_prob, ("n", "alpha")),
+    "vk": (_asym_vk, ("alpha", "a", "b", "m")),
+    "mass": (_asym_mass, ("n", "eps")),
+}
+_TOTAL_ONE = "; --a and --b must sum to exactly 1, so at least one of them is needed"
+# asym option -> (type, default, help); every asym record echoes all of them
+_ASYM_OPTIONS = {
+    "n": (int, 50, None),
+    "alpha": (str, "", "contained shape, e.g. 2,1"),
+    "order": (int, 2, "number of correction terms, 0 to 2"),
+    "eps": (str, "1/2", "window width, a positive rational"),
+    "a": (str, "", "row frequencies" + _TOTAL_ONE),
+    "b": (str, "", "column frequencies" + _TOTAL_ONE),
+    "m": (int, 0, "the shift of t_(n-m), or the row length of the two-row shape (m, m)"),
 }
 
 
 def _cmd_asym(args) -> int:
-    results, lines = _ASYM[args.kind](args)
-    names = ("kind", "n", "alpha", "order", "eps", "a", "b", "m")
-    inputs = {name: getattr(args, name) for name in names}
+    results, lines = _ASYM[args.kind][0](args)
+    inputs = {name: getattr(args, name) for name in ("kind", *_ASYM_OPTIONS)}
     return _report(args, inputs, results, None, lines)
 
 
@@ -379,8 +395,11 @@ def _cmd_asym(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after it.
 
-    Its ``subcommands`` attribute maps each subcommand name to the parser
-    ``add_parser`` returned for it, for ``_parse``.
+    Its ``subcommands`` attribute maps each command, ``("skew",)`` or
+    ``("asym", "tn")``, to the parser that reads the arguments after it,
+    for ``_parse``.  That parser's defaults carry ``cmd`` (and ``kind``).
+    Each ``asym`` kind offers only the options it reads, but its defaults
+    set every ``_ASYM_OPTIONS`` entry, so every record echoes them all.
     """
     parser = argparse.ArgumentParser(
         prog="skewtab",
@@ -393,53 +412,50 @@ def _build_parser() -> argparse.ArgumentParser:
     p_skew.add_argument("--inner", default="", help="inner partition (default empty)")
     p_skew.add_argument("--method", choices=(*skew_count.routes(), "all"), default="all")
     p_skew.add_argument("--json", action="store_true")
-    p_skew.set_defaults(run=_cmd_skew)
+    p_skew.set_defaults(cmd="skew", run=_cmd_skew)
 
     p_contain = sub.add_parser("contain", help="count n-cell SYT containing a shape")
     p_contain.add_argument("--n", type=int, required=True)
     p_contain.add_argument("--alpha", required=True, help="contained shape, e.g. 2,1")
     p_contain.add_argument("--method", choices=(*containment.routes(), "all"), default="all")
     p_contain.add_argument("--json", action="store_true")
-    p_contain.set_defaults(run=_cmd_contain)
+    p_contain.set_defaults(cmd="contain", run=_cmd_contain)
 
     p_table = sub.add_parser("table", help="containment counts vs closed forms")
     p_table.add_argument("--max-k", dest="max_k", type=int, default=5)
     p_table.add_argument("--n-max", dest="n_max", type=int, default=12)
     p_table.add_argument("--json", action="store_true")
-    p_table.set_defaults(run=_cmd_table)
+    p_table.set_defaults(cmd="table", run=_cmd_table)
 
+    parser.subcommands = {("skew",): p_skew, ("contain",): p_contain, ("table",): p_table}
     p_asym = sub.add_parser("asym", help="asymptotic estimates vs exact values")
-    p_asym.add_argument("kind", choices=tuple(_ASYM))
-    p_asym.add_argument("--n", type=int, default=50)
-    p_asym.add_argument("--alpha", default="", help="shape for prob/vk kinds")
-    p_asym.add_argument("--order", type=int, default=2, help="corrections for kind=tn")
-    p_asym.add_argument("--eps", default="1/2", help="window width for kind=mass")
-    total_one = "; --a and --b must sum to exactly 1, so kind=vk needs at least one of them"
-    p_asym.add_argument("--a", default="", help="row frequencies for kind=vk" + total_one)
-    p_asym.add_argument("--b", default="", help="column frequencies for kind=vk" + total_one)
-    p_asym.add_argument(
-        "--m", type=int, default=0, help="two-row size for kind=vk; shift for kind=shift"
-    )
-    p_asym.add_argument("--json", action="store_true")
-    p_asym.set_defaults(run=_cmd_asym)
-    parser.subcommands = {"skew": p_skew, "contain": p_contain, "table": p_table, "asym": p_asym}
+    kinds = p_asym.add_subparsers(dest="kind", required=True)
+    defaults = {name: default for name, (_, default, _) in _ASYM_OPTIONS.items()}
+    for kind, (_, reads) in _ASYM.items():
+        p_kind = parser.subcommands["asym", kind] = kinds.add_parser(kind)
+        for name in reads:
+            option_type, _, text = _ASYM_OPTIONS[name]
+            p_kind.add_argument(f"--{name}", type=option_type, help=text)
+        p_kind.add_argument("--json", action="store_true")
+        p_kind.set_defaults(cmd="asym", kind=kind, run=_cmd_asym, **defaults)
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, parsing once when argv starts with a subcommand.
+    """``_build_parser().parse_args(argv)``, parsing once when argv starts with a command.
 
-    The full parser hands everything after the subcommand's name to that
-    subcommand's parser and sets ``cmd``, so doing the same directly gives
-    the same namespace and the same errors.  Leftover arguments go back
-    through the full parser, which reports them as unrecognized.
+    The full parser hands everything after a command, ``skew`` or
+    ``asym tn``, to that command's parser, and that parser's defaults set
+    ``cmd`` and ``kind``, so parsing with it directly gives the same
+    namespace and the same errors.  Leftover arguments go back through the
+    full parser, which reports them as unrecognized.
     """
     parser = _build_parser()
-    command = parser.subcommands.get(argv[0]) if argv else None
-    if command is not None:
-        args, leftover = command.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
-        if not leftover:
-            return args
+    for key in (tuple(argv[:1]), tuple(argv[:2])):
+        if key in parser.subcommands:
+            args, leftover = parser.subcommands[key].parse_known_args(argv[len(key) :])
+            if not leftover:
+                return args
     return parser.parse_args(argv)
 
 

@@ -16,10 +16,15 @@ the order the CLI's ``--method all`` runs them.  ``skew_syt_det`` never
 conjugates, so comparing it with its value on the conjugate shape
 compares two computations.
 
-``skew_syt_det`` takes a ``SkewShape`` or a plain ``(outer, inner)`` pair
-that is already valid, so a caller that enumerates its own valid pairs
-(``containment.N_direct``) pays for no ``SkewShape`` validation per pair.
-It keeps Aitken's beta-set matrix but never eliminates its
+All three routes take one input form: a ``SkewShape`` or a plain
+``(outer, inner)`` pair that is already valid, that is, two partitions of
+weakly decreasing positive parts with the inner inside the outer.  The
+routes trust that contract and build no ``SkewShape``, so a caller that
+builds its own valid pairs (``containment.N_direct``, ``asym vk``) pays
+for no validation per pair; ``SkewShape`` is how to check a pair that
+comes from outside.
+
+``skew_syt_det`` keeps Aitken's beta-set matrix but never eliminates its
 Vandermonde block.  With ell = len(outer), k = len(inner) and m = ell - k,
 m levels of Newton divided differences on the k inner columns alone divide
 out the m falling-factorial columns.  Every quotient is exact, since the
@@ -47,13 +52,15 @@ from .exact import exact_div, integer_det
 from .partitions import (
     InvalidSkewShapeError,
     Partition,
-    SkewShape,
+    SkewShape,  # callers may build the input form as skew_count.SkewShape
     centralizer_order,
     contains,
     partitions_of,
 )
 
 BRUTE_FORCE_CELL_CAP = 25
+
+SkewPair = tuple[Partition, Partition]  # (outer, inner), already valid
 
 
 class CapacityError(ValueError):
@@ -111,28 +118,24 @@ def path_totals(top: Partition, floor: Partition) -> list[int]:
     return totals
 
 
-def skew_syt_brute(shape: SkewShape) -> int:
+def skew_syt_brute(shape: SkewPair) -> int:
     """Count skew SYT as growth paths from the inner to the outer shape.
 
     The last of ``path_totals(outer, inner)``.  Raises CapacityError past
     BRUTE_FORCE_CELL_CAP cells; use the determinant or character method
     beyond that.
     """
-    if shape.size > BRUTE_FORCE_CELL_CAP:
+    outer, inner = shape
+    if sum(outer) - sum(inner) > BRUTE_FORCE_CELL_CAP:
         raise CapacityError(
             f"brute-force enumeration capped at {BRUTE_FORCE_CELL_CAP} cells; "
             "use skew_syt_det or skew_syt_char"
         )
-    return path_totals(shape.outer, shape.inner)[-1]
+    return path_totals(outer, inner)[-1]
 
 
-def skew_syt_det(shape: tuple[Partition, Partition]) -> int:
+def skew_syt_det(shape: SkewPair) -> int:
     """Count skew SYT via the factorial determinant.
-
-    ``shape`` is a ``SkewShape`` or any ``(outer, inner)`` pair of
-    partitions that is already valid: nothing here validates the pair, so
-    a caller that builds its own pairs (``containment.N_direct``) must hand
-    in weakly decreasing positive parts with the inner inside the outer.
 
     Aitken: f^(lam/alpha) = n! det[1/(lam_i - alpha_j - i + j)!], with
     1/m! = 0 for m < 0.  In the beta sets a_i = lam_i + ell - 1 - i and
@@ -173,7 +176,7 @@ def skew_syt_det(shape: tuple[Partition, Partition]) -> int:
     return exact_div(numerator, prod(map(factorial, a)), "determinant count for %s/%s", lam, alpha)
 
 
-def skew_syt_char(shape: SkewShape) -> int:
+def skew_syt_char(shape: SkewPair) -> int:
     """Count skew SYT as sum over nu of chi^lam(nu, 1^(n-k)) chi^alpha(nu) / z_nu.
 
     The classes nu are the partitions of k = |alpha|.  The column
@@ -183,7 +186,7 @@ def skew_syt_char(shape: SkewShape) -> int:
     an integer, since k!/z_nu is the size of the class nu; the one division
     by k! is checked.
     """
-    lam, alpha = shape.outer, shape.inner
+    lam, alpha = shape
     k = sum(alpha)
     classes = list(partitions_of(k))
     k_factorial = factorial(k)
@@ -194,7 +197,7 @@ def skew_syt_char(shape: SkewShape) -> int:
     return exact_div(total, k_factorial, "character count for %s/%s", lam, alpha)
 
 
-def routes() -> dict[str, Callable[[SkewShape], int]]:
+def routes() -> dict[str, Callable[[SkewPair], int]]:
     """The skew routes by name, in the order ``--method all`` runs them.
 
     Built on every call, so a route rebound on this module is what runs.

@@ -345,6 +345,33 @@ def test_asym_output_is_pinned(capsys, argv, inputs, results, text):
     assert run(capsys, ["asym", *argv, "--json"]) == (0, expected, "")
 
 
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("tn", ["--n", "10"]),
+        ("shift", ["--n", "10", "--m", "2"]),
+        ("prob", ["--n", "10", "--alpha", "2,1"]),
+        ("vk", ["--alpha", "2", "--a", "1/2,1/2", "--m", "3"]),
+        ("mass", ["--n", "9"]),
+    ],
+)
+def test_each_asym_kind_offers_exactly_the_options_its_handler_reads(kind, argv):
+    handler, reads = cli._ASYM[kind]
+    actions = cli._build_parser().subcommands["asym", kind]._actions
+    offered = {text for action in actions for text in action.option_strings}
+    assert offered == {"-h", "--help", "--json", *(f"--{name}" for name in reads)}
+    args = cli._parse(["asym", kind, *argv])
+    read = set()
+
+    class Spy:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(args, name)
+
+    handler(Spy())
+    assert read == set(reads)
+
+
 def test_json_round_trips_bit_identically(capsys):
     for argv in [
         ["skew", "--outer", "2,2,1", "--inner", "1"],
@@ -702,6 +729,10 @@ def outcome(capsys, call, argv):
         ["skew", "--outer", "3", "--", "x"],
         ["asym", "--", "tn"],
         ["--", "skew", "--outer", "3"],
+        ["asym", "tn", "--eps", "1"],
+        ["asym", "mass", "--order", "1"],
+        ["asym", "vk", "--help"],
+        ["asym", "--n", "5", "tn"],
     ],
 )
 def test_main_parses_as_the_full_parser_does(capsys, argv):
@@ -710,7 +741,8 @@ def test_main_parses_as_the_full_parser_does(capsys, argv):
 
 def test_clearing_the_parser_cache_rebuilds_the_subcommand_parsers(capsys, monkeypatch):
     stale = cli._build_parser().subcommands
-    assert set(stale) == {"skew", "contain", "table", "asym"}
+    assert set(stale) == {("skew",), ("contain",), ("table",), *(("asym", kind) for kind in cli._ASYM)}
+    assert len(stale) == 8
 
     def refuse(*args, **kwargs):
         raise AssertionError("a parser from a cleared build was used")

@@ -9,6 +9,10 @@ well-formed is a domain error, exit 7.  Every ``--json`` stdout parses
 under a strict JSON parser, with one known exception: ``asym tn`` and
 ``asym shift`` write ``"estimate": Infinity`` past float range.
 
+An ``asym`` kind takes only the options it reads: the drawn ``asym`` argv
+give only those, and one option more exits 2 as an unrecognized argument,
+with empty stdout and the option named on stderr.
+
 Costs stay small: partitions have at most 12 cells and n is at most 400,
 less where a route walks every partition of n (``contain`` under
 ``direct`` or ``all``, ``asym mass``) or fills a whole table (``table``).
@@ -86,7 +90,9 @@ def table_argv(draw):
 
 @st.composite
 def asym_argv(draw):
+    """An argv for one kind, giving only options that kind reads."""
     kind = draw(st.sampled_from(sorted(cli._ASYM)))
+    reads = {"frequencies" if name in ("a", "b") else name for name in cli._ASYM[kind][1]}
     # t_296 is past float range: tn and shift write Infinity from there on
     n = draw(st.integers(-3, 40) if kind == "mass" else SIZE_UP_TO_400)
     m = draw(st.integers(-3, n + 3) if kind == "shift" else SIZE_UP_TO_400)
@@ -111,12 +117,12 @@ def asym_argv(draw):
         "eps": ("1/2", True),
         "frequencies": (("", ""), False),  # the TVK total of no frequencies is 0
     }
-    # each option is given with odds 3 in 4, in any order; mass always gets
-    # its --n, since the default 50 walks too many partitions
+    # each option the kind reads is given with odds 3 in 4, in any order;
+    # mass always gets its --n, since the default 50 walks too many partitions
     names = [
         name
         for name in draw(st.permutations(sorted(given_as)))
-        if draw(st.integers(0, 3)) < 3 or (kind, name) == ("mass", "n")
+        if name in reads and (draw(st.integers(0, 3)) < 3 or (kind, name) == ("mass", "n"))
     ]
     argv = ["asym", kind, *sum((given_as[name][0] for name in names), []), *draw(JSON_FLAG)]
     value = {name: given_as[name][1:] if name in names else defaults[name] for name in given_as}
@@ -182,3 +188,33 @@ def test_every_argv_ends_in_its_documented_exit(drawn):
             assert nonfinite in ([], [(("results", "estimate"), "Infinity")]), argv
         else:
             assert nonfinite == [], argv
+
+
+@st.composite
+def asym_argv_with_an_unread_option(draw):
+    """A valid-looking ``asym`` argv plus one option its kind does not read.
+
+    An unread option that abbreviates one the kind reads is left out:
+    argparse reads ``asym prob --a 1`` as ``--alpha 1``.
+    """
+    argv, _, _ = draw(asym_argv())
+    reads = cli._ASYM[argv[1]][1]
+    unread = [
+        name
+        for name in cli._ASYM_OPTIONS
+        if not any(read.startswith(name) for read in reads)
+    ]
+    name = draw(st.sampled_from(unread))
+    value = draw(st.sampled_from(["1", "0", "-3", "1/2", "2,1", "x", ""]))
+    at = draw(st.sampled_from([2, len(argv)]))
+    return argv[:at] + option(f"--{name}", value) + argv[at:], name
+
+
+@settings(max_examples=200, deadline=None)
+@given(asym_argv_with_an_unread_option())
+@example((["asym", "tn", "--n", "10", "--m=-3", "--json"], "m"))
+def test_an_option_the_asym_kind_does_not_read_exits_2(drawn):
+    argv, name = drawn
+    code, out, err = run(argv)
+    assert (code, out) == (2, ""), (argv, code)
+    assert "unrecognized arguments:" in err and f"--{name}=" in err, (argv, err)

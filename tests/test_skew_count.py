@@ -124,11 +124,14 @@ def test_brute_equals_det_up_to_10_cells():
         assert skew_syt_brute(shape) == skew_syt_det(shape), shape
 
 
-def test_det_takes_a_plain_pair_as_it_takes_a_skew_shape():
+def test_every_route_takes_a_plain_pair_as_it_takes_a_skew_shape():
+    routes = skew_count.routes()
     for shape in small_skew_pairs(10, 10):
         pair = (shape.outer, shape.inner)
         assert type(pair) is tuple
-        assert skew_syt_det(pair) == skew_syt_det(shape), shape
+        counts = {route(pair) for route in routes.values()}
+        counts |= {route(shape) for route in routes.values()}
+        assert len(counts) == 1, shape
 
 
 def test_brute_stack_depth_does_not_grow_with_cells():
