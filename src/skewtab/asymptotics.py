@@ -16,11 +16,16 @@ chi^alpha(nu) is a test oracle, the route that shares no code with it.
 ``bulk_mass`` sums f^lam over the shapes whose first part and length lie
 in the strict window (2 - eps) sqrt(n) < x < (2 + eps) sqrt(n) without
 listing them; the list itself is a test oracle that reads the same
-``_bulk_window``.  The window is closed under conjugation and
-f^lam = f^lam', so only the shapes with lam_1 >= len(lam) are walked, each
-once: the sum over lam_1 > len(lam) is counted twice, the sum over
-lam_1 = len(lam) once.  A window that holds every shape (lo = 1, hi >= n)
-has mass exactly 1 and is not walked.
+``_bulk_window``.  It first counts the shapes on each side of the window
+exactly, by inclusion-exclusion on partitions in a box
+(``partitions.box_partition_count``), and walks the side that holds fewer:
+the members, or the shapes outside, whose sum taken from t_n leaves the
+members' sum, since sum_{lam |- n} f^lam = t_n (RSK).  The window is
+closed under conjugation and f^lam = f^lam', so on either side only the
+shapes with lam_1 >= len(lam) are walked, each once: the sum over
+lam_1 > len(lam) is counted twice, the sum over lam_1 = len(lam) once.  A
+window that holds every shape (lo = 1, hi >= n) has mass exactly 1 and is
+not walked.
 The growth constant C_3 of a rescaled limit shape is passed to
 ``biane_estimate`` directly.
 """
@@ -35,7 +40,7 @@ from math import comb, factorial, lcm, perm, prod
 from .characters import character, syt_count
 from .containment import t_shift_coeff
 from .exact import DomainError, exact_div, integer_det
-from .partitions import Partition, conjugate
+from .partitions import Partition, box_partition_count, conjugate
 from .sequences import involutions
 
 _LOG_FLOAT_MAX = 709.0  # beyond this math.exp overflows a double
@@ -209,33 +214,88 @@ def _window_rows_sum(n: int, ell: int, lo: int, hi: int) -> int:
     return exact_div(total, prod(range(n + 1, big_n + 1)), "bulk rows of n=%d, ell=%d", n, ell)
 
 
+def _bulk_counts(n: int, lo: int, hi: int) -> tuple[int, int]:
+    """How many partitions of n lie in the window lo..hi, and how many do not.
+
+    With B(r, c) the partitions of n in an r x c box, the shapes whose first
+    part and length both lie in lo..hi number
+    B(hi, hi) - 2 B(lo - 1, hi) + B(lo - 1, lo - 1): the hi x hi box less
+    the shapes too short and, by conjugation as many, those too narrow, with
+    the shapes that are both added back.  It is 0 when lo = hi + 1, the
+    widest gap ``_bulk_window`` leaves.  All of them number p(n) = B(n, n).
+    """
+    members = (
+        box_partition_count(n, hi, hi)
+        - 2 * box_partition_count(n, lo - 1, hi)
+        + box_partition_count(n, lo - 1, lo - 1)
+    )
+    return members, box_partition_count(n, n, n) - members
+
+
+def _members_rows_sum(n: int, lo: int, hi: int) -> int:
+    """Sum of f^lam over the members of the window lo..hi.
+
+    Over the lengths ell in the window, the first parts lam_1 >= ell in the
+    window are [ell, hi]: twice the walk over [ell + 1, hi] and once the walk
+    over lam_1 = ell.
+    """
+    total = 0
+    for ell in range(lo, min(hi, (n + 1) // 2) + 1):
+        total += 2 * _window_rows_sum(n, ell, ell + 1, hi) + _window_rows_sum(n, ell, ell, ell)
+    return total
+
+
+def _outside_rows_sum(n: int, lo: int, hi: int) -> int:
+    """Sum of f^lam over the partitions of n outside the window lo..hi.
+
+    A length ell in the window leaves out the first parts lam_1 > hi, all
+    above ell: twice the walk over [hi + 1, n].  Any other length leaves out
+    every shape of ell rows: twice the walk over [ell + 1, n] and once the
+    walk over lam_1 = ell.
+    """
+    total = 0
+    for ell in range(1, (n + 1) // 2 + 1):
+        if lo <= ell <= hi:
+            total += 2 * _window_rows_sum(n, ell, hi + 1, n)
+        else:
+            total += 2 * _window_rows_sum(n, ell, ell + 1, n) + _window_rows_sum(n, ell, ell, ell)
+    return total
+
+
 def bulk_mass(n: int, eps) -> Fraction:
     """Exact fraction of all n-cell SYT whose shape lies in the bulk window.
 
+    The shapes in the window and the shapes outside it are counted first
+    (``_bulk_counts``, a few Gaussian-binomial coefficients), and the side
+    that holds fewer is walked: the members give sum_W f / t_n, the shapes
+    outside give (t_n - sum_outside f) / t_n, since the f^lam of all shapes
+    of n sum to t_n.  The Fraction is the same either way.
+
     The window W is closed under conjugation and f^lam = f^lam', so the
     shapes with lam_1 < len(lam) count the same as those with
-    lam_1 > len(lam), and
+    lam_1 > len(lam), and on either side
 
-        sum_W f = sum_ell (2 sum_{lam_1 in [ell + 1, hi]} f + sum_{lam_1 = ell} f)
+        sum f = sum_ell (2 sum_{lam_1 > ell} f + sum_{lam_1 = ell} f)
 
-    over the lengths ell in the window, where ell >= lo puts [ell, hi]
-    inside the window.  A shape with ell rows and lam_1 >= ell has at least
-    2 ell - 1 cells, so the lengths stop at (n + 1) // 2.  Each term is one
-    beta-set walk over the window's own members (``_window_rows_sum``), with
-    one division per walk checked by ``exact_div``; the two walks of a
-    length split its first parts, so each member is placed once.  A member
-    whose remaining rows are all 1 is closed in one step, not one frame per
-    row.  Nothing is sized by the window's upper bound, which can be huge
-    for large eps.  A window with lo = 1 and hi >= n holds every shape of n
-    cells, so its mass is exactly 1 and nothing is walked.
+    over the lengths ell, with the first parts restricted to that side.  A
+    shape with ell rows and lam_1 >= ell has at least 2 ell - 1 cells, so
+    the lengths stop at (n + 1) // 2.  Each term is one beta-set walk over
+    one range of first parts (``_window_rows_sum``), with one division per
+    walk checked by ``exact_div``; the two walks of a length split its first
+    parts, so each shape of the walked side is placed once.  A shape whose
+    remaining rows are all 1 is closed in one step, not one frame per row.
+    Nothing is sized by the window's upper bound, which can be huge for
+    large eps.  A window with lo = 1 and hi >= n holds every shape of n
+    cells, so its mass is exactly 1 and nothing is counted or walked.
     """
     lo, hi = _bulk_window(n, eps)
     if lo == 1 and hi >= n:
         return Fraction(1)  # every first part and length lies in [1, n]
-    total = 0
-    for ell in range(lo, min(hi, (n + 1) // 2) + 1):
-        total += 2 * _window_rows_sum(n, ell, ell + 1, hi) + _window_rows_sum(n, ell, ell, ell)
-    return Fraction(total, involutions(n))
+    t_n = involutions(n)
+    members, outside = _bulk_counts(n, lo, hi)
+    if members > outside:
+        return Fraction(t_n - _outside_rows_sum(n, lo, hi), t_n)
+    return Fraction(_members_rows_sum(n, lo, hi), t_n)
 
 
 def schur_value(mu: Partition, values) -> Fraction:

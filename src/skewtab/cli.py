@@ -173,8 +173,20 @@ def _json_text(value, newline: str) -> str:
 
 
 def _parse_rational(text: str) -> Fraction:
+    """A Fraction from text such as 3/2, -0.25 or 1e-3.
+
+    Fraction expands a decimal exponent into a power of 10 without the
+    interpreter's limit on integer digits, so 1e20000000 would run for
+    seconds: an exponent beyond that limit is refused, as a mantissa of
+    that many digits is.
+    """
+    literal = text.strip()
     try:
-        return Fraction(text.strip())
+        _, mark, exponent = literal.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if mark and limit and abs(int(exponent)) > limit:
+            raise ValueError
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse rational from {text!r}") from None
 

@@ -9,7 +9,8 @@ Both enumerations, ``partitions_of(n)`` (every partition of n) and
 ``partitions_no_small_parts(j)`` (no part below 3), run one iterative
 generator with a smallest-part bound: it steps one list from each
 partition to the next in reverse-lex order, so no enumeration recurses on
-the number of parts.
+the number of parts.  ``box_partition_count(n, rows, cols)`` counts the
+partitions of n in a box without listing them.
 A ``SkewShape`` is validated on every construction, ``conjugate()``
 included.  A loop that already holds valid pairs, ``containment.N_direct``,
 hands ``skew_count.skew_syt_det`` plain ``(outer, inner)`` tuples instead
@@ -163,6 +164,30 @@ def partitions_no_small_parts(j: int) -> Iterator[Partition]:
     if j < 0:
         raise DomainError("j must be nonnegative")
     yield from _descending_parts(j, 3)
+
+
+def box_partition_count(n: int, rows: int, cols: int) -> int:
+    """Number of partitions of n that fit in a rows x cols box: at most
+    ``rows`` parts, none above ``cols``.
+
+    It is the q^n coefficient of the Gaussian binomial
+    [r + c choose r]_q = prod_{i=1..r} (1 - q^(c+i)) / (1 - q^i), where r and
+    c are the box's sides capped at n, r the shorter (conjugation maps the
+    box onto its transpose).  The product is kept up to q^n and taken one
+    factor at a time: a numerator factor subtracts a shifted copy, a
+    denominator factor is a running sum with stride i, O(r n) integer steps
+    in all.  ``box_partition_count(n, n, n)`` is p(n).
+    """
+    if min(n, rows, cols) < 0:
+        raise DomainError("n, rows and cols must be nonnegative")
+    r, c = sorted((min(rows, n), min(cols, n)))
+    coeffs = [1] + [0] * n
+    for i in range(1, r + 1):
+        for k in range(n, c + i - 1, -1):
+            coeffs[k] -= coeffs[k - c - i]
+        for k in range(i, n + 1):
+            coeffs[k] += coeffs[k - i]
+    return coeffs[n]
 
 
 def contains(lam: Partition, alpha: Partition) -> bool:

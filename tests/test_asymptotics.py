@@ -9,7 +9,10 @@ import pytest
 from skewtab import asymptotics
 from skewtab.asymptotics import (
     LimitSpec,
+    _bulk_counts,
     _bulk_window,
+    _members_rows_sum,
+    _outside_rows_sum,
     _window_rows_sum,
     biane_estimate,
     bulk_mass,
@@ -353,13 +356,22 @@ def test_bulk_window_validation(n, eps):
 
 
 def test_bulk_mass_matches_hook_lengths_over_members():
-    # the hook-length count over the enumerated members is the oracle, and
-    # so is the walk over every first part in the window with no fold
+    # the enumerated members are the oracle: their number for the counts,
+    # their hook-length sum for bulk_mass and for each side's walk on its
+    # own, whichever side bulk_mass picks; so is the walk over every first
+    # part in the window with no fold
     hooks = cache(hook_length_count)  # a member recurs under every wider eps
     for n in range(1, 31):
+        shapes = sum(1 for _ in partitions_of(n))
         for eps in BULK_EPS_GRID:
+            lo, hi = _bulk_window(n, eps)
+            members = bulk_members(n, eps)
+            assert _bulk_counts(n, lo, hi) == (len(members), shapes - len(members)), (n, eps)
+            inside = sum(map(hooks, members))
+            assert _members_rows_sum(n, lo, hi) == inside, (n, eps)
+            assert _outside_rows_sum(n, lo, hi) + inside == involutions(n), (n, eps)
             total = bulk_mass(n, eps) * involutions(n)
-            assert total == sum(map(hooks, bulk_members(n, eps))), (n, eps)
+            assert total == inside, (n, eps)
             assert total == unfolded_bulk_rows_sum(n, eps), (n, eps)
 
 
@@ -461,6 +473,46 @@ def test_bulk_mass_walks_no_window_that_holds_every_shape(monkeypatch):
     assert walks
 
 
+def walked_sides(walks, lo, hi):
+    """Which side of the window lo..hi each nonempty walk (n, ell, first
+    parts a..b) covers: "inside", "outside", or "both"."""
+    sides = set()
+    for _, ell, a, b in walks:
+        if a > b:
+            continue
+        if lo <= ell <= hi and lo <= a and b <= hi:
+            sides.add("inside")
+        elif not lo <= ell <= hi or a > hi or b < lo:
+            sides.add("outside")
+        else:
+            sides.add("both")
+    return sides
+
+
+@pytest.mark.parametrize(
+    "n, eps, side",
+    [
+        (24, Fraction(3, 2), "outside"),
+        (30, Fraction(3, 2), "outside"),
+        (31, Fraction(1), "outside"),
+        (29, Fraction(1, 4), "inside"),
+        (40, Fraction(1, 4), "inside"),
+    ],
+)
+def test_bulk_mass_walks_the_side_with_fewer_shapes(monkeypatch, n, eps, side):
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return _window_rows_sum(*args)
+
+    monkeypatch.setattr(asymptotics, "_window_rows_sum", counted)
+    bulk_mass(n, eps)
+    members, outside = _bulk_counts(n, *_bulk_window(n, eps))
+    assert (members > outside) == (side == "outside")
+    assert walked_sides(walks, *_bulk_window(n, eps)) == {side}
+
+
 # computed by the hook-length route over the enumerated members
 BULK_MASS_FROZEN = {
     (16, Fraction(1, 4)): Fraction(21021, 23103368),
@@ -483,6 +535,11 @@ BULK_MASS_FROZEN = {
     ),
     (49, Fraction(3, 2)): Fraction(
         461641345327806526818256134817549, 461641474874588460498693127692800
+    ),
+    # by the walk over the members, where bulk_mass now walks the shapes outside
+    (60, Fraction(3, 2)): Fraction(
+        6821884529500612543962271738777158692513407,
+        6821884987614954973275699858293003447885824,
     ),
 }
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -478,6 +479,38 @@ def test_decimal_digits_match_str_past_the_digit_limit():
         sys.set_int_max_str_digits(limit)
     assert [cli._decimal_digits(x) for x in values] == expected
     assert [cli._fmt_int(x) for x in values] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asym", "mass", "--n", "30", "--eps", "1e20000000"],
+        ["asym", "mass", "--n", "30", "--eps", "1e-20000000"],
+        ["asym", "mass", "--n", "30", "--eps", " 5E+20000000"],
+        ["asym", "vk", "--alpha", "1", "--a", "1/2,5e-20000000", "--m", "3"],
+        ["asym", "vk", "--alpha", "1", "--a", "1", "--b", "1e20000000", "--m", "3"],
+    ],
+)
+def test_a_decimal_exponent_past_the_digit_limit_exits_2_at_once(capsys, argv):
+    # Fraction would expand 10**20000000, which takes seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse rational from ") and err.count("\n") == 1
+
+
+def test_a_decimal_exponent_at_the_digit_limit_still_parses(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, record, _ = run_json(capsys, ["asym", "mass", "--n", "30", "--eps", f"1e{limit}"])
+    assert code == 0 and record["results"]["mass"] == "1"
+    code, record, _ = run_json(capsys, ["asym", "mass", "--n", "30", "--eps", f"1e-{limit}"])
+    assert code == 0 and record["results"]["mass"] == "0"
+    code, out, err = run(capsys, ["asym", "mass", "--n", "30", "--eps", f"1e{limit + 1}"])
+    assert (code, out) == (2, "")
+    assert cli._parse_rational("3/2") == Fraction(3, 2)
+    assert cli._parse_rational(" -1.5E-1 ") == Fraction(-3, 20)
 
 
 def test_integrality_violation_exit_4(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -11,6 +12,7 @@ import skewtab
 from skewtab.partitions import (
     InvalidSkewShapeError,
     SkewShape,
+    box_partition_count,
     centralizer_order,
     conjugate,
     contains,
@@ -222,6 +224,28 @@ def test_boxed_partitions_filter_in_order():
                 boxed = [lam for lam in expected if not lam or lam[0] <= max_part]
                 got = list(boxed_partitions(n, max_part, max_len))
                 assert got == boxed, (n, max_part, max_len)
+
+
+def test_box_partition_count_matches_filtered_enumeration():
+    # every box from 0 x 0 to one wider and taller than any partition of n
+    for n in range(31):
+        shapes = Counter((len(lam), lam[0] if lam else 0) for lam in partitions_of(n))
+        for rows in range(n + 2):
+            for cols in range(n + 2):
+                expected = sum(
+                    k for (length, first), k in shapes.items() if length <= rows and first <= cols
+                )
+                assert box_partition_count(n, rows, cols) == expected, (n, rows, cols)
+
+
+def test_box_partition_count_examples():
+    assert box_partition_count(0, 0, 0) == 1
+    assert box_partition_count(4, 2, 2) == 1  # (2, 2)
+    assert box_partition_count(70, 70, 70) == 4087968  # p(70)
+    assert box_partition_count(70, 10**400, 10**400) == 4087968  # sized by n, not the box
+    for bad in [(-1, 2, 2), (3, -1, 2), (3, 2, -1)]:
+        with pytest.raises(ValueError):
+            box_partition_count(*bad)
 
 
 def test_boxed_partitions_max_len_examples():
