@@ -40,7 +40,7 @@ from math import comb, factorial, lcm, perm, prod
 from .characters import character, syt_count
 from .containment import t_shift_coeff
 from .exact import DomainError, exact_div, integer_det
-from .partitions import Partition, box_partition_count, conjugate
+from .partitions import Partition, box_partition_count, conjugate, validate_partition
 from .sequences import involutions
 
 _LOG_FLOAT_MAX = 709.0  # beyond this math.exp overflows a double
@@ -311,8 +311,10 @@ def super_schur_value(alpha: Partition, a, b) -> Fraction:
     repeated values (the bialternant is not).  s_alpha is homogeneous of
     degree |alpha|, so every value is scaled by the common denominator D:
     the h_r and the matrix are integers, ``integer_det`` evaluates it, and
-    D**|alpha| divides the result back out.
+    D**|alpha| divides the result back out.  Raises ValueError when alpha
+    is not a partition.
     """
+    alpha = validate_partition(alpha)
     a = tuple(Fraction(v) for v in a)
     b = tuple(Fraction(v) for v in b)
     if not alpha:

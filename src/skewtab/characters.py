@@ -58,8 +58,11 @@ def _frobenius(beta: Beta, m_factorial: int) -> int:
 
 @lru_cache(maxsize=None)
 def syt_count(lam: Partition) -> int:
-    """Number of standard Young tableaux of straight shape lam: chi^lam(1^n) (Frobenius)."""
-    return _column(lam, [()])[0]
+    """Number of standard Young tableaux of straight shape lam: chi^lam(1^n) (Frobenius).
+
+    Raises ValueError when lam is not a partition, as ``character`` does.
+    """
+    return _column(validate_partition(lam), [()])[0]
 
 
 def _strip_layer(layer: dict[Beta, int], r: int) -> dict[Beta, int]:

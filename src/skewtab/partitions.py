@@ -5,12 +5,12 @@ empty tuple is the unique partition of 0.  Tuples are hashable, so
 partitions can key memo tables directly, and all operations here are pure,
 which makes them safe to share across threads.
 
-Both enumerations, ``partitions_of(n)`` (every partition of n) and
-``partitions_no_small_parts(j)`` (no part below 3), run one iterative
-generator with a smallest-part bound: it steps one list from each
-partition to the next in reverse-lex order, so no enumeration recurses on
-the number of parts.  ``box_partition_count(n, rows, cols)`` counts the
-partitions of n in a box without listing them.
+``partitions_of(n)`` steps one list from each partition of n to the next
+in reverse-lex order by the ZS1 successor rule, so it never recurses on the
+number of parts.  ``partitions_no_small_parts(j)`` (no part below 3) is a
+filter over it: a partition has no part below 3 iff its last part is at
+least 3.  ``box_partition_count(n, rows, cols)`` counts the partitions of n
+in a box without listing them.
 A ``SkewShape`` is validated on every construction, ``conjugate()``
 included.  A loop that already holds valid pairs, ``containment.N_direct``,
 hands ``skew_count.skew_syt_det`` plain ``(outer, inner)`` tuples instead
@@ -106,64 +106,48 @@ def centralizer_order(mu: Partition) -> int:
     return z
 
 
-def _descending_parts(n: int, smallest: int) -> Iterator[Partition]:
-    """Partitions of n with no part below ``smallest``, in reverse-lex order.
-
-    One list steps from each partition to the next, without recursion.  The
-    step shrinks the rightmost part that can shrink, to the largest x that
-    can follow the parts before it: part i can become x < parts[i] when the
-    r = sum(parts[i:]) - x cells after it fit in parts from ``smallest`` to
-    x, which holds iff ceil(r / x) * smallest <= r.  The r cells are then
-    refilled in the largest way, one run of equal parts at a time: each run
-    takes the largest part whose remainder still fits, as often as it can.
-    """
-    if n == 0:
-        yield ()
-        return
-    if n < smallest:
-        return
-    parts = [n]
-    while True:
-        yield tuple(parts)
-        i = len(parts)
-        left = x = 0
-        while x < smallest:
-            if not i:
-                return
-            i -= 1
-            left += parts[i]
-            x = parts[i] - 1
-            while x >= smallest and -(-(left - x) // x) * smallest > left - x:
-                x -= 1
-        del parts[i:]
-        while left:
-            x = min(x, left)
-            while -(-(left - x) // x) * smallest > left - x:
-                x -= 1
-            # j copies of x leave a remainder that fits iff
-            # j * (x - smallest) <= left - ceil(left / x) * smallest
-            copies = left // x
-            if x > smallest:
-                copies = min(copies, (left + (-left // x) * smallest) // (x - smallest))
-            parts += [x] * copies
-            left -= copies * x
-
-
 def partitions_of(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in reverse-lexicographic order.
 
     The order is stable and documented: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
+    Each partition follows from the last by Zoghbi and Stojmenovic's ZS1
+    rule: drop the trailing 1s, lower the last part above 1 by one to x,
+    and refill the freed cells as copies of x followed by their remainder.
+    ``parts[:m]`` is the current partition and ``parts[h]`` its last part
+    above 1; every entry after it is a 1, so dropping the 1s moves no data.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    yield from _descending_parts(n, 1)
+    parts = [n] + [1] * (n - 1)
+    m, h = min(n, 1), (0 if n > 1 else -1)
+    while True:
+        yield tuple(parts[:m])
+        if h < 0:
+            return
+        x = parts[h] - 1
+        parts[h] = x
+        if x == 1:
+            h -= 1
+            m += 1
+            continue
+        left = m - h
+        while left >= x:
+            h += 1
+            parts[h] = x
+            left -= x
+        m = h + 1 + (left > 0)
+        if left > 1:
+            h += 1
+            parts[h] = left
 
 
 def partitions_no_small_parts(j: int) -> Iterator[Partition]:
     """Partitions of j whose every part is at least 3 (reverse-lex order)."""
     if j < 0:
         raise DomainError("j must be nonnegative")
-    yield from _descending_parts(j, 3)
+    for mu in partitions_of(j):
+        if not mu or mu[-1] >= 3:
+            yield mu
 
 
 def box_partition_count(n: int, rows: int, cols: int) -> int:

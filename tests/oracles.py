@@ -14,9 +14,10 @@ library's Frobenius count ``syt_count``.
 Moser-Wyman estimators of t_n and t_{n-j} that
 ``mw_log_involutions_estimate(n, order, j)`` replaced, kept as they were,
 the check that the one estimator returns the same floats.
-``recursive_descending_parts`` is the recursive partition generator that
-the library's iterative one replaced, kept as it was: the check that
-``partitions_of`` and ``partitions_no_small_parts`` keep their order.
+``recursive_descending_parts`` is the recursive partition generator with a
+smallest-part bound that the library once ran, kept as it was: the check
+that ``partitions_of`` (its ZS1 successor rule) and
+``partitions_no_small_parts`` (a filter over it) keep their order.
 ``boxed_partitions`` enumerates the partitions inside a box, and
 ``bulk_members`` lists the shapes of the bulk window with it; the window
 itself is read from the library's ``_bulk_window``, so the members check

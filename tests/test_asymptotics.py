@@ -591,6 +591,18 @@ def test_super_schur_examples():
     assert super_schur_value((1, 1), (), (Fraction(1, 3),)) == Fraction(1, 9)
 
 
+def test_a_non_partition_alpha_is_refused():
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="partition parts"):
+        super_schur_value((1, 2), (1,), ())
+    with pytest.raises(ValueError, match="partition parts"):
+        super_schur_value((1, 0), (half,), (half,))
+    with pytest.raises(ValueError, match="partition parts"):
+        schur_value((2, 0), (1, 1))
+    with pytest.raises(ValueError, match="partition parts"):
+        containment_probability_estimate(10, (2, 0))
+
+
 def test_super_schur_restricts_to_schur():
     rng = random.Random(7)
     for k in range(6):

@@ -61,6 +61,14 @@ def test_syt_count_examples():
     assert syt_count((3, 2)) == 5
 
 
+@pytest.mark.parametrize("bad", [(1, 2), (2, 0), (0,), (3, -1)])
+def test_syt_count_refuses_a_non_partition_as_character_does(bad):
+    with pytest.raises(ValueError, match="partition parts"):
+        character(bad, (1,) * max(sum(bad), 0))
+    with pytest.raises(ValueError, match="partition parts"):
+        syt_count(bad)
+
+
 def test_syt_count_brute_force_small():
     for n in range(7):
         for lam in partitions_of(n):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import pickle
 import subprocess
@@ -262,6 +263,12 @@ def test_iterative_generator_keeps_the_recursive_order():
         assert list(partitions_of(n)) == list(recursive_descending_parts(n, n, 1)), n
         expected = list(recursive_descending_parts(n, n, 3))
         assert list(partitions_no_small_parts(n)) == expected, n
+
+
+def test_both_enumerators_are_generator_functions():
+    # the benchmark's tracer counts yields only of generator functions
+    assert inspect.isgeneratorfunction(partitions_of)
+    assert inspect.isgeneratorfunction(partitions_no_small_parts)
 
 
 def test_partition_enumeration_stack_depth_does_not_grow_with_parts():
