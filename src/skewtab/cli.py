@@ -12,10 +12,13 @@ text lines printed instead of it.  The record's text is
 into digits once, and the text lines reuse those digits.
 
 Parsing: when argv starts with a command, ``skew`` or ``asym tn``, ``main``
-parses the rest with that command's parser alone, which is what the full
-parser would hand it.  Any other argv, and any argument the command leaves
-unrecognized, goes through the full parser, so usage, help and error
-messages are argparse's own.
+builds that command's parser alone, on first use, and parses the rest with
+it, which is what the full parser would hand it.  The command's parser and
+its place in the full parser come from one definition, ``_define``, under
+one cache, ``_build_parser``, so both print the same usage and help.  Any
+other argv, and any argument the command leaves unrecognized, goes through
+the full parser, built only then, so usage, help and error messages are
+argparse's own.  Importing the module builds no parser.
 
 The skew and containment routes, and so the ``--method`` choices, are read
 from ``skew_count.routes()`` and ``containment.routes()``.  The ``asym``
@@ -403,72 +406,92 @@ def _cmd_asym(args) -> int:
     return _report(args, inputs, results, None, lines)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it.
+# the top-level commands, with their line in the full parser's help
+_HELP = {
+    "skew": "count SYT of a skew shape",
+    "contain": "count n-cell SYT containing a shape",
+    "table": "containment counts vs closed forms",
+    "asym": "asymptotic estimates vs exact values",
+}
+_COMMANDS = (("skew",), ("contain",), ("table",), *(("asym", kind) for kind in _ASYM))
 
-    Its ``subcommands`` attribute maps each command, ``("skew",)`` or
-    ``("asym", "tn")``, to the parser that reads the arguments after it,
-    for ``_parse``.  That parser's defaults carry ``cmd`` (and ``kind``).
-    Each ``asym`` kind offers only the options it reads, but its defaults
-    set every ``_ASYM_OPTIONS`` entry, so every record echoes them all.
+
+def _define(parser: argparse.ArgumentParser, command: tuple[str, ...]) -> argparse.ArgumentParser:
+    """Give ``parser`` the arguments and defaults of ``command``, ``("skew",)`` or ``("asym", "tn")``.
+
+    The one definition of each command, for its own parser and for its
+    place in the full parser alike.  The defaults carry ``cmd`` (and
+    ``kind``).  Each ``asym`` kind offers only the options it reads, but
+    its defaults set every ``_ASYM_OPTIONS`` entry, so every record echoes
+    them all.
     """
+    name = command[0]
+    if name == "skew":
+        parser.add_argument("--outer", required=True, help="outer partition, e.g. 2,2,1")
+        parser.add_argument("--inner", default="", help="inner partition (default empty)")
+        parser.add_argument("--method", choices=(*skew_count.routes(), "all"), default="all")
+        parser.set_defaults(run=_cmd_skew)
+    elif name == "contain":
+        parser.add_argument("--n", type=int, required=True)
+        parser.add_argument("--alpha", required=True, help="contained shape, e.g. 2,1")
+        parser.add_argument("--method", choices=(*containment.routes(), "all"), default="all")
+        parser.set_defaults(run=_cmd_contain)
+    elif name == "table":
+        parser.add_argument("--max-k", dest="max_k", type=int, default=5)
+        parser.add_argument("--n-max", dest="n_max", type=int, default=12)
+        parser.set_defaults(run=_cmd_table)
+    else:
+        kind = command[1]
+        for option in _ASYM[kind][1]:
+            option_type, _, text = _ASYM_OPTIONS[option]
+            parser.add_argument(f"--{option}", type=option_type, help=text)
+        defaults = {option: default for option, (_, default, _) in _ASYM_OPTIONS.items()}
+        parser.set_defaults(kind=kind, run=_cmd_asym, **defaults)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(cmd=name)
+    return parser
+
+
+@functools.cache
+def _build_parser(command: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """The parser of one command of ``_COMMANDS``, or with none the full parser.
+
+    Each is built on its first use and reused after it.  A command's own
+    parser has the prog it has inside the full parser, ``skewtab skew`` or
+    ``skewtab asym tn``, and both come from ``_define``, so the two print
+    the same usage and help.
+    """
+    if command:
+        return _define(argparse.ArgumentParser(prog=" ".join(("skewtab", *command))), command)
     parser = argparse.ArgumentParser(
         prog="skewtab",
         description="Exact SYT counting with cross-validated formulas",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p_skew = sub.add_parser("skew", help="count SYT of a skew shape")
-    p_skew.add_argument("--outer", required=True, help="outer partition, e.g. 2,2,1")
-    p_skew.add_argument("--inner", default="", help="inner partition (default empty)")
-    p_skew.add_argument("--method", choices=(*skew_count.routes(), "all"), default="all")
-    p_skew.add_argument("--json", action="store_true")
-    p_skew.set_defaults(cmd="skew", run=_cmd_skew)
-
-    p_contain = sub.add_parser("contain", help="count n-cell SYT containing a shape")
-    p_contain.add_argument("--n", type=int, required=True)
-    p_contain.add_argument("--alpha", required=True, help="contained shape, e.g. 2,1")
-    p_contain.add_argument("--method", choices=(*containment.routes(), "all"), default="all")
-    p_contain.add_argument("--json", action="store_true")
-    p_contain.set_defaults(cmd="contain", run=_cmd_contain)
-
-    p_table = sub.add_parser("table", help="containment counts vs closed forms")
-    p_table.add_argument("--max-k", dest="max_k", type=int, default=5)
-    p_table.add_argument("--n-max", dest="n_max", type=int, default=12)
-    p_table.add_argument("--json", action="store_true")
-    p_table.set_defaults(cmd="table", run=_cmd_table)
-
-    parser.subcommands = {("skew",): p_skew, ("contain",): p_contain, ("table",): p_table}
-    p_asym = sub.add_parser("asym", help="asymptotic estimates vs exact values")
-    kinds = p_asym.add_subparsers(dest="kind", required=True)
-    defaults = {name: default for name, (_, default, _) in _ASYM_OPTIONS.items()}
-    for kind, (_, reads) in _ASYM.items():
-        p_kind = parser.subcommands["asym", kind] = kinds.add_parser(kind)
-        for name in reads:
-            option_type, _, text = _ASYM_OPTIONS[name]
-            p_kind.add_argument(f"--{name}", type=option_type, help=text)
-        p_kind.add_argument("--json", action="store_true")
-        p_kind.set_defaults(cmd="asym", kind=kind, run=_cmd_asym, **defaults)
+    for name in ("skew", "contain", "table"):
+        _define(sub.add_parser(name, help=_HELP[name]), (name,))
+    kinds = sub.add_parser("asym", help=_HELP["asym"]).add_subparsers(dest="kind", required=True)
+    for kind in _ASYM:
+        _define(kinds.add_parser(kind), ("asym", kind))
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, parsing once when argv starts with a command.
+    """``_build_parser().parse_args(argv)``, building only one command's parser when it can.
 
     The full parser hands everything after a command, ``skew`` or
     ``asym tn``, to that command's parser, and that parser's defaults set
-    ``cmd`` and ``kind``, so parsing with it directly gives the same
-    namespace and the same errors.  Leftover arguments go back through the
-    full parser, which reports them as unrecognized.
+    ``cmd`` and ``kind``, so parsing with the command's own parser gives the
+    same namespace and the same errors.  Only an argv that starts with no
+    command, or leaves arguments over, builds the full parser, which
+    reports them as unrecognized.
     """
-    parser = _build_parser()
     for key in (tuple(argv[:1]), tuple(argv[:2])):
-        if key in parser.subcommands:
-            args, leftover = parser.subcommands[key].parse_known_args(argv[len(key) :])
+        if key in _COMMANDS:
+            args, leftover = _build_parser(key).parse_known_args(argv[len(key) :])
             if not leftover:
                 return args
-    return parser.parse_args(argv)
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

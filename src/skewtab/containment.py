@@ -20,9 +20,16 @@ orientation with fewer rows: it conjugates alpha once and counts every lam
 longer than it is wide as ``f^(lam'/alpha')``, which equals
 ``f^(lam/alpha)``.  It validates alpha once and hands the determinant
 plain ``(lam, alpha)`` pairs, with no ``SkewShape`` per lam.
-``N_expansion`` brings its coefficients to one denominator and divides
-once.  Every route raises DomainError for a negative n
-and returns 0 for 0 <= n < |alpha|.
+
+``N_expansion`` reads alpha's row: the numerators of e_0, ..., e_k over
+the one denominator k!, k = |alpha|, so N is one dot product with
+t_n, ..., t_{n-k} and one checked division.  The classes of each j, the
+partitions mu of j with parts >= 3, their squared cycle types and their
+class sizes j!/z_mu, depend on j alone and are built once per j
+(``_classes``); all of alpha's characters on them come from one
+``character_column`` call.  Both tables are ``lru_cache``s, as is
+``t_shift_coeff``, which reads entry j of the row.  Every route raises
+DomainError for a negative n and returns 0 for 0 <= n < |alpha|.
 
 ``CLOSED_FORMS`` freezes the classical closed forms for every shape with at
 most 5 cells; they serve as golden values for the expansion route.
@@ -34,7 +41,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .characters import character_column
 from .exact import DomainError, IntegralityError, exact_div
@@ -75,22 +82,50 @@ CLOSED_FORMS: dict[Partition, tuple[int, dict[int, int]]] = {
 
 
 @lru_cache(maxsize=None)
+def _classes(j: int) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The classes e_j sums over, the same for every alpha.
+
+    For each mu of weight j with all parts >= 3, in reverse-lex order:
+    ``square_cycle_type(mu)`` and the class size j!/z_mu.
+    """
+    mus = list(partitions_no_small_parts(j))
+    sizes = tuple(factorial(j) // centralizer_order(mu) for mu in mus)
+    return tuple(map(square_cycle_type, mus)), sizes
+
+
+@lru_cache(maxsize=None)
+def _expansion_row(alpha: Partition) -> tuple[int, ...]:
+    """Numerators of e_0(alpha), ..., e_k(alpha) over the one denominator k!.
+
+    e_j = C(k, j)/k! * sum_mu chi^alpha(square_cycle_type(mu), 1^(k-j)) * j!/z_mu,
+    since 1/((k-j)! j!) = C(k, j)/k!.  Every j's characters come from one
+    ``character_column`` call over the classes of all j.
+    """
+    k = sum(alpha)
+    classes = [_classes(j) for j in range(k + 1)]
+    column = iter(character_column(alpha, [nu for types, _ in classes for nu in types]))
+    # zip takes from sizes first, so each j reads exactly its own characters
+    return tuple(
+        comb(k, j) * sum(size * chi for size, chi in zip(sizes, column))
+        for j, (_, sizes) in enumerate(classes)
+    )
+
+
+@lru_cache(maxsize=None)
 def t_shift_coeff(j: int, alpha: Partition) -> Fraction:
     """Coefficient e_j(alpha) of t_{n-j} in the expansion of N(n; alpha).
 
     e_j = 1/(k-j)! * sum over mu of weight j with all parts >= 3 of
     chi^alpha(square_cycle_type(mu), 1^(k-j)) / z_mu.  In particular e_0 is
-    f^alpha / k! and e_1 = e_2 = 0 (no partitions avoid parts 1, 2).
+    f^alpha / k! and e_1 = e_2 = 0 (no partitions avoid parts 1, 2).  It is
+    entry j of alpha's row, over k!.  alpha is validated first, so a
+    non-partition builds no classes.
     """
+    alpha = validate_partition(alpha)
     k = sum(alpha)
     if not 0 <= j <= k:
         raise DomainError("j must lie between 0 and |alpha|")
-    mus = list(partitions_no_small_parts(j))
-    column = character_column(alpha, [square_cycle_type(mu) for mu in mus])
-    total = Fraction(0)
-    for mu, chi in zip(mus, column):
-        total += Fraction(chi, centralizer_order(mu))
-    return total / factorial(k - j)
+    return Fraction(_expansion_row(alpha)[j], factorial(k))
 
 
 def N_direct(n: int, alpha: Partition) -> int:
@@ -126,9 +161,9 @@ def N_direct(n: int, alpha: Partition) -> int:
 def N_expansion(n: int, alpha: Partition) -> int:
     """N(n; alpha) as sum_j e_j(alpha) t_{n-j}; zero for 0 <= n < |alpha|.
 
-    The e_j are brought to one denominator D, the lcm of theirs, so the sum
-    is sum_j num_j * (D / den_j) * t_{n-j} in integers, and the one division
-    by D is checked by ``exact_div``.
+    alpha's row holds the e_j as integer numerators over k!, so the sum is
+    one dot product with t_n, ..., t_{n-k}, and its one division by k! is
+    checked by ``exact_div``.
     """
     alpha = validate_partition(alpha)
     if n < 0:
@@ -136,13 +171,8 @@ def N_expansion(n: int, alpha: Partition) -> int:
     k = sum(alpha)
     if n < k:
         return 0
-    coeffs = [t_shift_coeff(j, alpha) for j in range(k + 1)]
-    den = lcm(*(coeff.denominator for coeff in coeffs))
-    total = sum(
-        coeff.numerator * (den // coeff.denominator) * involutions(n - j)
-        for j, coeff in enumerate(coeffs)
-    )
-    return exact_div(total, den, "N(%d; %s) expansion", n, alpha)
+    total = sum(num * involutions(n - j) for j, num in enumerate(_expansion_row(alpha)))
+    return exact_div(total, factorial(k), "N(%d; %s) expansion", n, alpha)
 
 
 def N_binomial(n_plus_k: int, alpha: Partition) -> int:

@@ -31,6 +31,9 @@ Jacobi-Trudi determinant.  ``power_sum`` evaluates p_r at a rational
 vector for both power-sum sides.  ``transposition_character`` reads the
 character on a transposition class off the cell contents, the check on the
 library's ``character(alpha, (2, 1, ..., 1))`` that ``biane_estimate`` uses.
+``per_shift_coeff`` is e_j(alpha) as ``t_shift_coeff`` once computed it, one
+j at a time with its own classes and its own ``character_column`` call: the
+check on the row that ``N_expansion`` now reads for all j at once.
 """
 
 from __future__ import annotations
@@ -42,18 +45,32 @@ from math import comb, factorial, perm, prod
 from typing import Iterator
 
 from skewtab.asymptotics import _bulk_window, _window_rows_sum, schur_value
-from skewtab.characters import character, syt_count
+from skewtab.characters import character, character_column, syt_count
 from skewtab.exact import DomainError, integer_det
 from skewtab.partitions import (
     Partition,
     SkewShape,
     centralizer_order,
     conjugate,
+    partitions_no_small_parts,
     partitions_of,
     square_cycle_type,
 )
 
 ORACLE_WEIGHT_CAP = 8
+
+
+def per_shift_coeff(j: int, alpha: Partition) -> Fraction:
+    """e_j(alpha) = 1/(k-j)! * sum over mu of j with parts >= 3 of chi^alpha(mu^2, 1^(k-j)) / z_mu."""
+    k = sum(alpha)
+    if not 0 <= j <= k:
+        raise DomainError("j must lie between 0 and |alpha|")
+    mus = list(partitions_no_small_parts(j))
+    column = character_column(alpha, [square_cycle_type(mu) for mu in mus])
+    total = Fraction(0)
+    for mu, chi in zip(mus, column):
+        total += Fraction(chi, centralizer_order(mu))
+    return total / factorial(k - j)
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -358,7 +359,7 @@ def test_asym_output_is_pinned(capsys, argv, inputs, results, text):
 )
 def test_each_asym_kind_offers_exactly_the_options_its_handler_reads(kind, argv):
     handler, reads = cli._ASYM[kind]
-    actions = cli._build_parser().subcommands["asym", kind]._actions
+    actions = cli._build_parser(("asym", kind))._actions
     offered = {text for action in actions for text in action.option_strings}
     assert offered == {"-h", "--help", "--json", *(f"--{name}" for name in reads)}
     args = cli._parse(["asym", kind, *argv])
@@ -549,8 +550,9 @@ def test_integrality_violation_exit_4(capsys, monkeypatch):
         ),
         pytest.param(
             containment,
-            "t_shift_coeff",
-            lambda j, alpha: Fraction(1, 7) if j == 0 else Fraction(0),
+            "_expansion_row",
+            # e_0 = 1/3! alone: the sum is t_6 = 76, no multiple of 3! = 6
+            lambda alpha: (1,) + (0,) * sum(alpha),
             ["contain", "--n", "6", "--alpha", "2,1", "--method", "expansion"],
             id="expansion",
         ),
@@ -689,7 +691,7 @@ def test_reused_parser_prints_what_fresh_parsers_print(capsys):
     ]
     cli._build_parser.cache_clear()
     reused = [run_or_exit(capsys, argv) for argv in sequence]
-    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser(("skew",)) is cli._build_parser(("skew",))
     fresh = []
     for argv in sequence:
         cli._build_parser.cache_clear()
@@ -773,9 +775,9 @@ def test_main_parses_as_the_full_parser_does(capsys, argv):
 
 
 def test_clearing_the_parser_cache_rebuilds_the_subcommand_parsers(capsys, monkeypatch):
-    stale = cli._build_parser().subcommands
-    assert set(stale) == {("skew",), ("contain",), ("table",), *(("asym", kind) for kind in cli._ASYM)}
-    assert len(stale) == 8
+    assert set(cli._COMMANDS) == {("skew",), ("contain",), ("table",), *(("asym", kind) for kind in cli._ASYM)}
+    assert len(cli._COMMANDS) == 8
+    stale = {command: cli._build_parser(command) for command in cli._COMMANDS}
 
     def refuse(*args, **kwargs):
         raise AssertionError("a parser from a cleared build was used")
@@ -783,13 +785,40 @@ def test_clearing_the_parser_cache_rebuilds_the_subcommand_parsers(capsys, monke
     for command in stale.values():
         monkeypatch.setattr(command, "parse_known_args", refuse)
     cli._build_parser.cache_clear()
-    fresh = cli._build_parser().subcommands
+    fresh = {command: cli._build_parser(command) for command in cli._COMMANDS}
     assert all(fresh[name] is not stale[name] for name in stale)
     assert run(capsys, ["skew", "--outer", "3,2,1", "--method", "det"]) == (
         0,
         "f[3,2,1 / ()]\n  det   = 16\n",
         "",
     )
+
+
+def _in_full_parser(command):
+    parser = cli._build_parser()
+    for name in command:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS, ids=" ".join)
+def test_a_commands_own_parser_prints_what_the_full_parser_prints(command):
+    own, inside = cli._build_parser(command), _in_full_parser(command)
+    assert own is not inside
+    assert own.prog == inside.prog == " ".join(("skewtab", *command))
+    assert own.format_usage() == inside.format_usage()
+    assert own.format_help() == inside.format_help()
+
+
+def test_a_command_builds_only_its_own_parser(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, ["asym", "tn", "--n", "10", "--json"])[0] == 0
+    assert run(capsys, ["skew", "--outer", "3,1"])[0] == 0
+    assert cli._build_parser.cache_info().currsize == 2
+    # leftover arguments fall back to the full parser, built only then
+    assert run_or_exit(capsys, ["skew", "--outer", "3", "junk"])[0] == 2
+    assert cli._build_parser.cache_info().currsize == 3
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():

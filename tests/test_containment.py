@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import per_shift_coeff
 
 from skewtab import cli, containment, skew_count
 from skewtab.characters import character, syt_count
@@ -81,6 +82,9 @@ def test_t_shift_coeff_examples():
         t_shift_coeff(4, (3,))
     with pytest.raises(ValueError):
         t_shift_coeff(-1, (3,))
+    # refused before the classes of every j up to 101 are built
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        t_shift_coeff(3, (1, 100))
 
 
 def test_t_shift_coeff_displayed_forms():
@@ -240,33 +244,49 @@ def test_direct_hands_the_det_every_containing_lam_as_a_plain_pair(monkeypatch, 
     assert all(type(pair) is tuple for pair in pairs)
 
 
-def _with_one_coefficient_perturbed(monkeypatch, n, shift):
-    # adds t/(t + 1), t = t_{n-shift}, to the sum: never an integer
-    def perturbed(j, alpha):
-        coeff = t_shift_coeff(j, alpha)
-        return coeff + Fraction(1, involutions(n - j) + 1) if j == shift else coeff
+def _with_one_numerator_perturbed(monkeypatch, shift):
+    # adds 1 to numerator `shift` of alpha's row, so t_{n-shift} to the sum over k!
+    row = containment._expansion_row
 
-    monkeypatch.setattr(containment, "t_shift_coeff", perturbed)
+    def perturbed(alpha):
+        numerators = list(row(alpha))
+        numerators[shift] += 1
+        return tuple(numerators)
+
+    monkeypatch.setattr(containment, "_expansion_row", perturbed)
 
 
 @pytest.mark.parametrize("alpha", [(2, 1), (3, 1, 1), (2, 2), (4,)])
 def test_expansion_checks_its_one_division(monkeypatch, alpha):
-    n = 9
-    for shift in range(sum(alpha) + 1):
+    n, k = 9, sum(alpha)
+    for shift in range(k + 1):
+        # k! does not divide the t_{n-shift} added, so the sum is no multiple of k!
+        assert involutions(n - shift) % factorial(k) != 0
         with monkeypatch.context() as patch:
-            _with_one_coefficient_perturbed(patch, n, shift)
+            _with_one_numerator_perturbed(patch, shift)
             with pytest.raises(IntegralityError, match="expected an integer"):
                 N_expansion(n, alpha)
     assert N_expansion(n, alpha) == N_direct(n, alpha)
 
 
 def test_expansion_with_one_coefficient_perturbed_exits_4(monkeypatch, capsys):
-    _with_one_coefficient_perturbed(monkeypatch, 9, 3)
+    assert involutions(9 - 3) % factorial(4) != 0
+    _with_one_numerator_perturbed(monkeypatch, 3)
     code = cli.main(["contain", "--n", "9", "--alpha", "3,1", "--method", "expansion", "--json"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INTEGRALITY == 4
     assert captured.out == ""
     assert captured.err.startswith("internal integrality violation:"), captured.err
+
+
+def test_row_matches_the_per_shift_coefficients():
+    for k in range(11):
+        for alpha in partitions_of(k):
+            row = containment._expansion_row(alpha)
+            assert len(row) == k + 1
+            for j, numerator in enumerate(row):
+                coeff = per_shift_coeff(j, alpha)
+                assert Fraction(numerator, factorial(k)) == coeff == t_shift_coeff(j, alpha)
 
 
 def test_binomial_route_runs_no_determinant(monkeypatch):
