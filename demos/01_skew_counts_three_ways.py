@@ -17,6 +17,17 @@ from skewtab import (
     syt_count,
 )
 
+
+def cells(shape):
+    """Row-major (row, column) cells of the skew shape, 1-indexed."""
+    padded = shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
+    return [
+        (i + 1, j + 1)
+        for i, (outer, inner) in enumerate(zip(shape.outer, padded))
+        for j in range(inner, outer)
+    ]
+
+
 print(__doc__)
 
 # A small shape, drawn out: (2,2,1)/(1) has cells at
@@ -24,7 +35,7 @@ print(__doc__)
 #   x x
 #   x
 shape = SkewShape((2, 2, 1), (1,))
-print(f"shape {shape.outer}/{shape.inner}, cells: {shape.cells()}")
+print(f"shape {shape.outer}/{shape.inner}, cells: {cells(shape)}")
 print(f"  brute-force placement : {skew_syt_brute(shape)}")
 print(f"  factorial determinant : {skew_syt_det(shape)}")
 print(f"  character sum         : {skew_syt_char(shape)}")

@@ -12,16 +12,27 @@ have unusually clean structure:
     exp(u^2/2 + 2u).
 """
 
+from itertools import accumulate
 from math import factorial
 
-from skewtab import (
-    N_row,
-    a_poly,
-    b_stable,
-    generating_poly_check,
-    q_coeff,
-    stability_check,
-)
+from skewtab import N_row, a_poly, b_stable, involutions, q_coeff
+
+
+def q_weighted_row(n_plus_k, k):
+    """N(n+k; k) as sum_j q_j/(k-j)! t_{n+k-j}; N_row is the binomial form."""
+    return sum(q_coeff(j) / factorial(k - j) * involutions(n_plus_k - j) for j in range(k + 1))
+
+
+def stability_check(k):
+    """True iff N(n+k; k) has frozen at b_n for every n <= k."""
+    return all(N_row(n + k, k) == b_stable(n) for n in range(k + 1))
+
+
+def generating_poly_check(n, max_k):
+    """True iff sum_k N(n+k; k) x^k matches A_n(x) / (1-x) up to x^max_k."""
+    partial_sums = list(accumulate(a_poly(n)))
+    return all(N_row(n + k, k) == partial_sums[min(k, n)] for k in range(max_k + 1))
+
 
 print(__doc__)
 
@@ -29,6 +40,7 @@ print("N(n+k; k) for small n (rows) and k (columns):")
 print("n\\k " + "".join(f"{k:>7d}" for k in range(9)))
 for n in range(7):
     row = [N_row(n + k, k) for k in range(9)]
+    assert row == [q_weighted_row(n + k, k) for k in range(9)]  # the two forms agree
     print(f"{n:<4d}" + "".join(f"{v:>7d}" for v in row))
 print()
 print("each row freezes at b_n once k >= n:", [b_stable(n) for n in range(7)])

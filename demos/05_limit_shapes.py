@@ -22,12 +22,25 @@ from skewtab import (
     SkewShape,
     biane_estimate,
     bulk_mass,
-    rectangle_factorization,
+    conjugate,
     skew_syt_det,
     super_schur_value,
     syt_count,
     tvk_skew_estimate,
 )
+
+
+def rectangle_factorization(i, j, mu, nu, a, b):
+    """alpha = (i x j rectangle) + mu on the right + nu' below, and
+    s_alpha(a / -b) as s_mu(a) s_nu(b) prod (a_r + b_s)."""
+    padded_mu = mu + (0,) * (i - len(mu))
+    alpha = tuple(p for p in [part + j for part in padded_mu] + list(conjugate(nu)) if p > 0)
+    value = super_schur_value(mu, a, ()) * super_schur_value(nu, b, ())
+    for ar in a:
+        for bs in b:
+            value *= ar + bs
+    return alpha, value
+
 
 print(__doc__)
 

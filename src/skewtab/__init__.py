@@ -17,7 +17,6 @@ from .partitions import (
     parse_partition,
     partitions_no_small_parts,
     partitions_of,
-    skew_cells,
     square_cycle_type,
 )
 from .characters import (
@@ -43,8 +42,6 @@ from .containment import (
     N_expansion,
     N_row,
     containment_probability,
-    generating_poly_check,
-    stability_check,
     t_shift_coeff,
 )
 from .asymptotics import (
@@ -54,9 +51,7 @@ from .asymptotics import (
     containment_probability_estimate,
     exp_estimate,
     mw_log_involutions_estimate,
-    rectangle_factorization,
     relative_error,
-    schur_value,
     super_schur_value,
     tvk_skew_estimate,
 )

@@ -39,8 +39,8 @@ from math import comb, factorial, lcm, perm, prod
 
 from .characters import character, syt_count
 from .containment import t_shift_coeff
-from .exact import DomainError, exact_div, integer_det
-from .partitions import Partition, box_partition_count, conjugate, validate_partition
+from .exact import DomainError, exact_div, exact_fraction, integer_det
+from .partitions import Partition, box_partition_count, validate_partition
 from .sequences import involutions
 
 _LOG_FLOAT_MAX = 709.0  # beyond this math.exp overflows a double
@@ -50,17 +50,18 @@ class LimitSpec(namedtuple("LimitSpec", "a b")):
     """Row/column frequency data (a; b) for a growing partition sequence.
 
     Frequencies are exact rationals, weakly decreasing and nonnegative, with
-    total mass at most 1 (exactly 1 for the TVK estimator).  An immutable
-    tuple subclass: it unpacks as ``(a, b)`` and compares and hashes equal
-    to that plain tuple.  ``_make`` and ``_replace`` go through the same
-    validation as the constructor.
+    total mass at most 1 (exactly 1 for the TVK estimator); an infinite or
+    NaN frequency raises DomainError.  An immutable tuple subclass: it
+    unpacks as ``(a, b)`` and compares and hashes equal to that plain
+    tuple.  ``_make`` and ``_replace`` go through the same validation as
+    the constructor.
     """
 
     __slots__ = ()
 
     def __new__(cls, a, b=()) -> "LimitSpec":
-        a = tuple(Fraction(x) for x in a)
-        b = tuple(Fraction(x) for x in b)
+        a = tuple(map(exact_fraction, a))
+        b = tuple(map(exact_fraction, b))
         for seq in (a, b):
             if any(x < 0 for x in seq):
                 raise ValueError("frequencies must be nonnegative")
@@ -159,7 +160,7 @@ def _bulk_window(n: int, eps) -> tuple[int, int]:
     """
     if n < 1:
         raise DomainError("n must be positive")
-    eps = Fraction(eps)
+    eps = exact_fraction(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
     hi = math.isqrt(math.ceil((2 + eps) ** 2 * n) - 1)
@@ -298,11 +299,6 @@ def bulk_mass(n: int, eps) -> Fraction:
     return Fraction(_members_rows_sum(n, lo, hi), t_n)
 
 
-def schur_value(mu: Partition, values) -> Fraction:
-    """Schur polynomial s_mu evaluated at a rational vector (no b values)."""
-    return super_schur_value(mu, values, ())
-
-
 def super_schur_value(alpha: Partition, a, b) -> Fraction:
     """Super-Schur value s_alpha(a / -b) as a Jacobi-Trudi determinant.
 
@@ -312,11 +308,11 @@ def super_schur_value(alpha: Partition, a, b) -> Fraction:
     degree |alpha|, so every value is scaled by the common denominator D:
     the h_r and the matrix are integers, ``integer_det`` evaluates it, and
     D**|alpha| divides the result back out.  Raises ValueError when alpha
-    is not a partition.
+    is not a partition, and DomainError for an infinite or NaN value.
     """
     alpha = validate_partition(alpha)
-    a = tuple(Fraction(v) for v in a)
-    b = tuple(Fraction(v) for v in b)
+    a = tuple(map(exact_fraction, a))
+    b = tuple(map(exact_fraction, b))
     if not alpha:
         return Fraction(1)
     den = lcm(*(v.denominator for v in a + b))
@@ -336,31 +332,6 @@ def super_schur_value(alpha: Partition, a, b) -> Fraction:
         for i in range(ell)
     ]
     return Fraction(integer_det(matrix), den ** sum(alpha))
-
-
-def rectangle_factorization(
-    i: int, j: int, mu: Partition, nu: Partition, a, b
-) -> tuple[Partition, Fraction]:
-    """Build alpha = (i x j rectangle) + mu on the right + nu' below, and
-    evaluate s_alpha(a / -b) as s_mu(a) s_nu(b) prod (a_r + b_s).
-
-    Returns (alpha, value) so callers can cross-check against
-    ``super_schur_value(alpha, a, b)``.
-    """
-    a = tuple(Fraction(v) for v in a)
-    b = tuple(Fraction(v) for v in b)
-    if len(a) != i or len(b) != j:
-        raise ValueError("need exactly i values in a and j values in b")
-    if len(mu) > i or len(nu) > j:
-        raise ValueError("mu must fit in i rows and nu in j rows")
-    padded_mu = mu + (0,) * (i - len(mu))
-    rows = [padded_mu[r] + j for r in range(i)]
-    alpha = tuple(p for p in rows + list(conjugate(nu)) if p > 0)
-    value = schur_value(mu, a) * schur_value(nu, b)
-    for ar in a:
-        for bs in b:
-            value *= ar + bs
-    return alpha, value
 
 
 def tvk_skew_estimate(f_lambda: int, alpha: Partition, spec: LimitSpec) -> float:

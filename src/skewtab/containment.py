@@ -40,11 +40,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, factorial
 
 from .characters import character_column
-from .exact import DomainError, IntegralityError, exact_div
+from .exact import DomainError, exact_div
 from .partitions import (
     Partition,
     centralizer_order,
@@ -55,7 +54,7 @@ from .partitions import (
     square_cycle_type,
     validate_partition,
 )
-from .sequences import a_poly, b_stable, involutions, q_coeff
+from .sequences import involutions
 from .skew_count import path_totals, skew_syt_det
 
 # den, {shift j: numerator of e_j * den}; value = sum_j num * t_{n-j} / den.
@@ -204,6 +203,7 @@ def routes() -> dict[str, Callable[[int, Partition], int]]:
 
 def N_closed_form(n: int, alpha: Partition) -> int:
     """Golden closed form for |alpha| <= 5; zero for 0 <= n < |alpha|."""
+    alpha = validate_partition(alpha)
     if n < 0:
         raise DomainError("n must be nonnegative")
     if alpha not in CLOSED_FORMS:
@@ -221,39 +221,13 @@ def containment_probability(n: int, alpha: Partition) -> Fraction:
 
 
 def N_row(n_plus_k: int, k: int) -> int:
-    """Single-row count N(n+k; k), evaluated by both stated forms.
+    """Single-row count N(n+k; k) = sum_j C(n,j) t_{n-j}.
 
-    The binomial form sum_j C(n,j) t_{n-j} and the q-weighted form
-    sum_j q_j/(k-j)! t_{n+k-j} must agree exactly; a mismatch means a bug.
+    This is ``N_binomial`` for the one-row alpha (k), whose walk down to
+    the empty shape has exactly one path to each shorter row.  The
+    q-weighted form sum_j q_j/(k-j)! t_{n+k-j}, which equals it, is a test
+    oracle.
     """
     if not 0 <= k <= n_plus_k:
         raise DomainError("need n_plus_k >= k >= 0")
-    n = n_plus_k - k
-    binomial_form = sum(comb(n, j) * involutions(n - j) for j in range(k + 1))
-    q_form = sum(
-        (q_coeff(j) / factorial(k - j)) * involutions(n_plus_k - j)
-        for j in range(k + 1)
-    )
-    if q_form != binomial_form:
-        raise IntegralityError(
-            f"single-row forms disagree at N({n_plus_k}; {k}): "
-            f"{binomial_form} vs {q_form}"
-        )
-    return binomial_form
-
-
-def generating_poly_check(n: int, max_k: int) -> bool:
-    """True iff sum_k N(n+k; k) x**k matches a_poly(n) / (1 - x) up to max_k."""
-    if n < 0 or max_k < n:
-        raise DomainError("need max_k >= n >= 0")
-    partial_sums = list(accumulate(a_poly(n)))
-    return all(
-        N_row(n + k, k) == partial_sums[min(k, n)] for k in range(max_k + 1)
-    )
-
-
-def stability_check(k: int) -> bool:
-    """True iff N(n+k; k) has stabilized to b_n for every n <= k."""
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    return all(N_row(n + k, k) == b_stable(n) for n in range(k + 1))
+    return N_binomial(n_plus_k, (k,) if k else ())

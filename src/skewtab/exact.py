@@ -5,10 +5,14 @@ division that is supposed to cancel goes through ``exact_div``, the one
 integrality check in the package.  A failed check raises IntegralityError,
 which the CLI maps to its own exit code.  DomainError, raised wherever a
 single well-formed number lies outside its function's domain (a negative
-n, a window width of 0), has its own exit code too.
+n, a window width of 0, an infinite or NaN float), has its own exit code
+too.  ``exact_fraction`` converts a caller's number to a Fraction and
+refuses an infinite or NaN one.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class IntegralityError(ArithmeticError):
@@ -17,6 +21,13 @@ class IntegralityError(ArithmeticError):
 
 class DomainError(ValueError):
     """A single, well-formed number lies outside its function's domain."""
+
+
+def exact_fraction(value) -> Fraction:
+    """``value`` as an exact Fraction; DomainError if it is infinite or NaN."""
+    if value != value or value in (float("inf"), float("-inf")):  # NaN is unequal to itself
+        raise DomainError(f"need a finite number, got {value}")
+    return Fraction(value)
 
 
 def exact_div(numerator: int, denominator: int, context: str, *args) -> int:

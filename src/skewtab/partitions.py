@@ -181,18 +181,6 @@ def contains(lam: Partition, alpha: Partition) -> bool:
     return all(a <= l for a, l in zip(alpha, lam))
 
 
-def skew_cells(lam: Partition, alpha: Partition) -> list[tuple[int, int]]:
-    """Row-major list of (row, column) cells of lam/alpha, 1-indexed."""
-    if not contains(lam, alpha):
-        raise InvalidSkewShapeError(f"{alpha} is not contained in {lam}")
-    padded = alpha + (0,) * (len(lam) - len(alpha))
-    return [
-        (i + 1, j + 1)
-        for i, (outer, inner) in enumerate(zip(lam, padded))
-        for j in range(inner, outer)
-    ]
-
-
 class SkewShape(namedtuple("SkewShape", "outer inner")):
     """An outer/inner partition pair with the inner contained in the outer.
 
@@ -217,9 +205,6 @@ class SkewShape(namedtuple("SkewShape", "outer inner")):
     @property
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
-
-    def cells(self) -> list[tuple[int, int]]:
-        return skew_cells(self.outer, self.inner)
 
     def conjugate(self) -> "SkewShape":
         return SkewShape(conjugate(self.outer), conjugate(self.inner))

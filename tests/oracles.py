@@ -34,28 +34,41 @@ library's ``character(alpha, (2, 1, ..., 1))`` that ``biane_estimate`` uses.
 ``per_shift_coeff`` is e_j(alpha) as ``t_shift_coeff`` once computed it, one
 j at a time with its own classes and its own ``character_column`` call: the
 check on the row that ``N_expansion`` now reads for all j at once.
+``skew_cells`` lists the cells of a skew shape, for tests that place
+entries in them one by one.
+``q_weighted_row`` is the single-row count N(n+k; k) in its q-weighted
+form, the check on ``N_row``'s binomial convolution; ``stability_check``
+and ``generating_poly_check`` test ``N_row`` against b_n and A_n(x).
+``schur_value`` is ``super_schur_value`` with no b values, and
+``rectangle_factorization`` evaluates s_alpha(a / -b) for alpha an i x j
+rectangle with mu on its right and nu' below as s_mu(a) s_nu(b) times
+prod (a_r + b_s), the check on the determinant for those shapes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, factorial, perm, prod
 from typing import Iterator
 
-from skewtab.asymptotics import _bulk_window, _window_rows_sum, schur_value
+from skewtab.asymptotics import _bulk_window, _window_rows_sum, super_schur_value
 from skewtab.characters import character, character_column, syt_count
+from skewtab.containment import N_row
 from skewtab.exact import DomainError, integer_det
 from skewtab.partitions import (
+    InvalidSkewShapeError,
     Partition,
     SkewShape,
     centralizer_order,
     conjugate,
+    contains,
     partitions_no_small_parts,
     partitions_of,
     square_cycle_type,
 )
+from skewtab.sequences import a_poly, b_stable, involutions, q_coeff
 
 ORACLE_WEIGHT_CAP = 8
 
@@ -321,3 +334,72 @@ def schur_sum_identity_check(n: int, values) -> bool:
                 break
         power_side += Fraction(1, centralizer_order(lam)) * product
     return schur_side == power_side
+
+
+def skew_cells(lam: Partition, alpha: Partition) -> list[tuple[int, int]]:
+    """Row-major list of (row, column) cells of lam/alpha, 1-indexed."""
+    if not contains(lam, alpha):
+        raise InvalidSkewShapeError(f"{alpha} is not contained in {lam}")
+    padded = alpha + (0,) * (len(lam) - len(alpha))
+    return [
+        (i + 1, j + 1)
+        for i, (outer, inner) in enumerate(zip(lam, padded))
+        for j in range(inner, outer)
+    ]
+
+
+def q_weighted_row(n_plus_k: int, k: int) -> Fraction:
+    """N(n+k; k) as sum_j q_j/(k-j)! t_{n+k-j}, a Fraction that is an integer."""
+    if not 0 <= k <= n_plus_k:
+        raise DomainError("need n_plus_k >= k >= 0")
+    return sum(
+        (q_coeff(j) / factorial(k - j) * involutions(n_plus_k - j) for j in range(k + 1)),
+        Fraction(0),
+    )
+
+
+def generating_poly_check(n: int, max_k: int) -> bool:
+    """True iff sum_k N(n+k; k) x**k matches a_poly(n) / (1 - x) up to max_k."""
+    if n < 0 or max_k < n:
+        raise DomainError("need max_k >= n >= 0")
+    partial_sums = list(accumulate(a_poly(n)))
+    return all(
+        N_row(n + k, k) == partial_sums[min(k, n)] for k in range(max_k + 1)
+    )
+
+
+def stability_check(k: int) -> bool:
+    """True iff N(n+k; k) has stabilized to b_n for every n <= k."""
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+    return all(N_row(n + k, k) == b_stable(n) for n in range(k + 1))
+
+
+def schur_value(mu: Partition, values) -> Fraction:
+    """Schur polynomial s_mu evaluated at a rational vector (no b values)."""
+    return super_schur_value(mu, values, ())
+
+
+def rectangle_factorization(
+    i: int, j: int, mu: Partition, nu: Partition, a, b
+) -> tuple[Partition, Fraction]:
+    """Build alpha = (i x j rectangle) + mu on the right + nu' below, and
+    evaluate s_alpha(a / -b) as s_mu(a) s_nu(b) prod (a_r + b_s).
+
+    Returns (alpha, value) so callers can cross-check against
+    ``super_schur_value(alpha, a, b)``.
+    """
+    a = tuple(Fraction(v) for v in a)
+    b = tuple(Fraction(v) for v in b)
+    if len(a) != i or len(b) != j:
+        raise ValueError("need exactly i values in a and j values in b")
+    if len(mu) > i or len(nu) > j:
+        raise ValueError("mu must fit in i rows and nu in j rows")
+    padded_mu = mu + (0,) * (i - len(mu))
+    rows = [padded_mu[r] + j for r in range(i)]
+    alpha = tuple(p for p in rows + list(conjugate(nu)) if p > 0)
+    value = schur_value(mu, a) * schur_value(nu, b)
+    for ar in a:
+        for bs in b:
+            value *= ar + bs
+    return alpha, value

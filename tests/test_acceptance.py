@@ -14,7 +14,6 @@ from skewtab.asymptotics import (
     bulk_mass,
     containment_probability_estimate,
     mw_log_involutions_estimate,
-    rectangle_factorization,
     relative_error,
     super_schur_value,
 )
@@ -27,8 +26,6 @@ from skewtab.containment import (
     N_expansion,
     N_row,
     containment_probability,
-    generating_poly_check,
-    stability_check,
     t_shift_coeff,
 )
 from skewtab.partitions import (
@@ -44,7 +41,11 @@ from skewtab.skew_count import skew_syt_brute, skew_syt_char, skew_syt_det
 from oracles import (
     bulk_members,
     character_oracle,
+    generating_poly_check,
+    q_weighted_row,
+    rectangle_factorization,
     schur_sum_identity_check,
+    stability_check,
     super_schur_power_sum,
     transposition_character,
 )
@@ -168,7 +169,7 @@ def test_criterion_08_stability_and_generating_polynomials():
             assert generating_poly_check(n, 8), n
         for total in range(21):
             for k in range(total + 1):
-                N_row(total, k)  # raises internally on two-form mismatch
+                assert N_row(total, k) == q_weighted_row(total, k), (total, k)
 
 
 def test_criterion_09_moser_wyman_accuracy():

@@ -19,9 +19,7 @@ from skewtab.asymptotics import (
     containment_probability_estimate,
     exp_estimate,
     mw_log_involutions_estimate,
-    rectangle_factorization,
     relative_error,
-    schur_value,
     super_schur_value,
     tvk_skew_estimate,
 )
@@ -38,7 +36,9 @@ from oracles import (
     mw_log_plain_reference,
     mw_log_shifted_reference,
     power_sum,
+    rectangle_factorization,
     schur_sum_identity_check,
+    schur_value,
     super_schur_power_sum,
     unfolded_bulk_rows_sum,
 )
@@ -353,6 +353,20 @@ def test_bulk_window_validation(n, eps):
         bulk_mass(n, eps)
     with pytest.raises(ValueError):
         bulk_members(n, eps)
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "bulk_mass": lambda x: bulk_mass(10, x),
+    "LimitSpec": lambda x: LimitSpec((x,)),
+    "super_schur_value": lambda x: super_schur_value((1,), (x,), ()),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+def test_a_non_finite_float_is_a_domain_error(entry, value):
+    with pytest.raises(DomainError, match="finite"):
+        NON_FINITE_ENTRY_POINTS[entry](value)
 
 
 def test_bulk_mass_matches_hook_lengths_over_members():

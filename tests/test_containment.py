@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import per_shift_coeff
+from oracles import generating_poly_check, per_shift_coeff, q_weighted_row, stability_check
 
 from skewtab import cli, containment, skew_count
 from skewtab.characters import character, syt_count
@@ -15,8 +15,6 @@ from skewtab.containment import (
     N_expansion,
     N_row,
     containment_probability,
-    generating_poly_check,
-    stability_check,
     t_shift_coeff,
 )
 from skewtab.exact import IntegralityError
@@ -156,7 +154,7 @@ def test_row_matches_expansion_method():
 def test_row_two_forms_agree_up_to_20():
     for total in range(21):
         for k in range(total + 1):
-            N_row(total, k)  # raises on any internal mismatch
+            assert N_row(total, k) == q_weighted_row(total, k), (total, k)
 
 
 def test_generating_poly_check():
@@ -332,9 +330,14 @@ def test_probability_rejects_a_negative_n():
         containment_probability(-1, (2, 1))
 
 
-@pytest.mark.parametrize("route", ["direct", "expansion", "binomial"])
+@pytest.mark.parametrize("route", ["direct", "expansion", "binomial", "closed_form"])
 @pytest.mark.parametrize("n", [2, 5])
 @pytest.mark.parametrize("alpha", [(1, 2), (0,), (2, 0), (1, -1)])
 def test_every_route_rejects_an_invalid_alpha(route, n, alpha):
+    counts = {**containment.routes(), "closed_form": N_closed_form}
     with pytest.raises(ValueError):
-        containment.routes()[route](n, alpha)
+        counts[route](n, alpha)
+
+
+def test_closed_form_takes_alpha_as_a_list_as_the_routes_do():
+    assert N_closed_form(5, [2, 1]) == N_expansion(5, [2, 1]) == 8
